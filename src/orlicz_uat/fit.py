@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import FitSolverError, ValidationError
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, _match_rows
 from .net import Layer, Network, _apply_activation
 from .orlicz import FunctionTable, gauge_norm, l1_norm
 
@@ -93,19 +93,9 @@ def from_table(mu: DiscreteMeasure, values, bound: float | None = None) -> Targe
     table = FunctionTable.from_values(values)
     if table.length != mu.support_size:
         raise ValidationError("table length disagrees with the support size")
-    index = mu.point_index()
-    vals = table.values
-
-    def fn(X):
-        rows = []
-        for row in np.atleast_2d(np.asarray(X, dtype=np.float64)):
-            key = np.ascontiguousarray(row).tobytes()
-            if key not in index:
-                raise ValidationError("table target evaluated off the support")
-            rows.append(vals[index[key]])
-        return np.vstack(rows)
-
-    return TargetFunction("table", mu.dimension, table.output_dim, fn, bound=bound)
+    return TargetFunction("table", mu.dimension, table.output_dim,
+                          lambda X: table.values[_match_rows(mu.points, X, ValidationError)],
+                          bound=bound)
 
 
 _TARGET_BUILDERS = {
@@ -179,8 +169,6 @@ def fit_random_features(f: TargetFunction, mu: DiscreteMeasure, width: int,
         cf = scipy.linalg.cho_factor(G)
         coef = scipy.linalg.cho_solve(cf, rhs)
     except np.linalg.LinAlgError as exc:
-        raise FitSolverError(f"singular normal equations; set ridge > 0 ({exc})") from None
-    except scipy.linalg.LinAlgError as exc:
         raise FitSolverError(f"singular normal equations; set ridge > 0 ({exc})") from None
     readout = coef[:width].T
     bias = coef[width]

@@ -3,14 +3,16 @@
 A DiscreteMeasure is a finite set of support points in R^d with nonnegative
 weights.  A MeasureFamily bundles several measures with one dominating
 measure (the uniform average of the members over the union support) together
-with the pointwise densities of each member.  The de la Vallee Poussin style
-certificate records, for one candidate Young function psi, the gauge norms of
-all member densities and their supremum; a finite supremum witnesses uniform
-integrability of the family relative to psi.
+with the pointwise densities of each member.  A family matches the points of
+all its members to the dominating support at once, comparing rows by their
+bytes after adding +0.0, so 0.0 and -0.0 are one point, as in np.unique.  The
+de la Vallee Poussin style certificate records, for one candidate Young
+function psi, the gauge norms of all member densities and their supremum; a
+finite supremum witnesses uniform integrability of the family relative to psi.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -31,7 +33,7 @@ class DiscreteMeasure:
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         w = np.asarray(self.weights, dtype=np.float64).ravel()
-        if pts.ndim != 2 or pts.shape[0] == 0:
+        if pts.ndim != 2 or 0 in pts.shape:
             raise ValidationError("a measure needs a nonempty 2-d point array")
         if pts.shape[0] != w.shape[0]:
             raise ValidationError("points and weights must have equal length")
@@ -56,9 +58,6 @@ class DiscreteMeasure:
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
-
-    def point_index(self) -> dict:
-        return {self.points[i].tobytes(): i for i in range(self.support_size)}
 
     def to_json_dict(self) -> dict:
         return {"dim": self.dimension, "points": self.points.tolist(),
@@ -180,19 +179,36 @@ def dominating_measure(members) -> DiscreteMeasure:
     return make_discrete(pts, w)
 
 
+def _match_rows(support, points, missing=AbsoluteContinuityError) -> np.ndarray:
+    """Last support row equal to each row of points; a point with none raises missing."""
+    void = np.dtype((np.void, 8 * support.shape[1]))
+    keys, wanted = (np.ascontiguousarray(a + 0.0).view(void).ravel() for a in (support, points))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    pos = np.maximum(np.searchsorted(keys, wanted, side="right") - 1, 0)
+    off = keys[pos] != wanted
+    if np.any(off):
+        raise missing(f"point {points[np.argmax(off)].tolist()} is off the support")
+    return order[pos]
+
+
+def _density(nu: DiscreteMeasure, mu: DiscreteMeasure, rows: np.ndarray) -> np.ndarray:
+    return np.bincount(rows, nu.weights / mu.weights[rows], mu.support_size)
+
+
 def radon_nikodym(nu: DiscreteMeasure, mu: DiscreteMeasure) -> np.ndarray:
     """Density d(nu)/d(mu) aligned with mu.points; zero off the support of nu."""
     if nu.dimension != mu.dimension:
         raise ValidationError("measures must share one dimension")
-    index = mu.point_index()
-    density = np.zeros(mu.support_size)
-    for i in range(nu.support_size):
-        j = index.get(nu.points[i].tobytes())
-        if j is None:
-            raise AbsoluteContinuityError(
-                f"point {nu.points[i].tolist()} carries nu-mass but no mu-mass")
-        density[j] = nu.weights[i] / mu.weights[j]
-    return density
+    return _density(nu, mu, _match_rows(mu.points, nu.points))
+
+
+def _member_rows(members, mu: DiscreteMeasure) -> list:
+    """Support rows of each member's points, from one match of all of them."""
+    if any(nu.dimension != mu.dimension for nu in members):
+        raise AbsoluteContinuityError("member support escapes the dominating measure")
+    rows = _match_rows(mu.points, np.concatenate([nu.points for nu in members]))
+    return np.split(rows, np.cumsum([nu.support_size for nu in members])[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,28 +216,23 @@ class MeasureFamily:
     members: tuple
     dominating: DiscreteMeasure
     densities: tuple
+    _rows: InitVar[list | None] = None  # member rows that from_members already matched
 
-    def __post_init__(self):
+    def __post_init__(self, _rows):
         members = tuple(self.members)
         densities = tuple(np.asarray(d, dtype=np.float64) for d in self.densities)
         if len(members) == 0 or len(members) != len(densities):
             raise ValidationError("family needs matching members and densities")
         mu = self.dominating
-        index = mu.point_index()
-        for nu, dens in zip(members, densities):
+        rows = _member_rows(members, mu) if _rows is None else _rows
+        for nu, dens, j in zip(members, densities, rows):
             if dens.shape != (mu.support_size,):
                 raise ValidationError("density must align with the dominating support")
             if np.any(dens < 0.0) or np.any(~np.isfinite(dens)):
                 raise ValidationError("densities must be finite and nonnegative")
-            for i in range(nu.support_size):
-                j = index.get(nu.points[i].tobytes())
-                if j is None:
-                    raise AbsoluteContinuityError(
-                        "member support escapes the dominating measure")
-                lhs = nu.weights[i]
-                rhs = dens[j] * mu.weights[j]
-                if abs(lhs - rhs) > _DENSITY_RTOL * max(abs(lhs), 1e-300):
-                    raise ValidationError("density does not reproduce the member mass")
+            if np.any(np.abs(nu.weights - dens[j] * mu.weights[j])
+                      > _DENSITY_RTOL * np.maximum(nu.weights, 1e-300)):
+                raise ValidationError("density does not reproduce the member mass")
         for d in densities:
             d.setflags(write=False)
         object.__setattr__(self, "members", members)
@@ -231,8 +242,8 @@ class MeasureFamily:
     def from_members(cls, members) -> "MeasureFamily":
         members = tuple(members)
         mu = dominating_measure(members)
-        densities = tuple(radon_nikodym(nu, mu) for nu in members)
-        return cls(members, mu, densities)
+        rows = _member_rows(members, mu)
+        return cls(members, mu, tuple(_density(nu, mu, j) for nu, j in zip(members, rows)), rows)
 
     @property
     def size(self) -> int:

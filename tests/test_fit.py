@@ -38,6 +38,10 @@ def test_from_table_lookup():
     assert f.evaluate(np.array([[1.0], [0.0]]))[:, 0].tolist() == [7.0, 3.0]
     with pytest.raises(ValidationError):
         f.evaluate(np.array([[0.5]]))
+    # 0.0 and -0.0 are one point, whichever the support stores
+    assert f.evaluate(np.array([[-0.0]]))[:, 0].tolist() == [3.0]
+    g = from_table(make_discrete([[-0.0], [1.0]], [0.5, 0.5]), [3.0, 7.0])
+    assert g.evaluate(np.array([[0.0]]))[:, 0].tolist() == [3.0]
 
 
 def test_make_target_registry():

@@ -1,11 +1,16 @@
 """Discrete measures, families, densities, and the integrability certificate."""
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orlicz_uat import (AbsoluteContinuityError, Box, DiscreteMeasure,
                         MeasureFamily, ValidationError, default_psi_candidates,
                         dlvp_certificate, dominating_measure, entropy,
-                        make_discrete, power, radon_nikodym, sample_empirical)
+                        make_discrete, measure, power, radon_nikodym,
+                        sample_empirical)
 
 
 def test_box_validation_and_queries():
@@ -70,6 +75,8 @@ def test_make_discrete_errors():
         make_discrete([[0.0], [1.0]], [0.5])
     with pytest.raises(ValidationError):
         make_discrete([[0.0]], [0.0])
+    with pytest.raises(ValidationError):
+        make_discrete(np.zeros((2, 0)), [0.5, 0.5])
 
 
 def test_make_discrete_scalar_points_promote():
@@ -201,13 +208,81 @@ def test_family_reconstruction_identity():
     family = MeasureFamily.from_members(members)
     mu = family.dominating
     fvals = rng.standard_normal(mu.support_size)
-    index = mu.point_index()
     for member, density in zip(family.members, family.densities):
         via_density = float(np.sum(fvals * density * mu.weights))
         direct = 0.0
         for p, w in zip(member.points, member.weights):
-            direct += fvals[index[p.tobytes()]] * w
+            (row,) = np.flatnonzero(np.all(mu.points == p, axis=1))
+            direct += fvals[row] * w
         assert abs(via_density - direct) <= 1e-12 * max(1.0, abs(direct))
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_family_counts_signed_zeros_as_one_point(first, second):
+    members = [make_discrete([[first], [1.0]], [0.5, 0.5]),
+               make_discrete([[second], [1.0]], [0.5, 0.5])]
+    family = MeasureFamily.from_members(members)
+    assert family.dominating.support_size == 2
+    assert [d.tolist() for d in family.densities] == [[1.0, 1.0], [1.0, 1.0]]
+    assert radon_nikodym(members[1], family.dominating).tolist() == [1.0, 1.0]
+
+
+def test_family_build_matches_all_member_points_at_once(monkeypatch):
+    calls = []
+    match = measure._match_rows
+
+    def counted(support, points):
+        calls.append(points.shape[0])
+        return match(support, points)
+
+    monkeypatch.setattr(measure, "_match_rows", counted)
+    members = [make_discrete([[0.0], [1.0]], [0.5, 0.5]),
+               make_discrete([[1.0], [2.0], [3.0]], [0.2, 0.3, 0.5]),
+               make_discrete([[3.0]], [1.0])]
+    MeasureFamily.from_members(members)
+    assert calls == [6]
+
+
+_GRID = (-1.0, -0.0, 0.0, 0.5)
+
+
+@st.composite
+def grid_members(draw):
+    """Members whose points come from a shared grid holding both signed zeros."""
+    point = st.tuples(*[st.sampled_from(_GRID)] * draw(st.integers(1, 2)))
+    member = st.lists(st.tuples(point, st.floats(0.1, 1.0)), min_size=1, max_size=6)
+    return [make_discrete([p for p, _ in m], [w for _, w in m])
+            for m in draw(st.lists(member, min_size=1, max_size=4))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_members())
+def test_family_matcher_against_a_dict_reference(members):
+    family = MeasureFamily.from_members(members)
+    mu = family.dominating
+    reference = {(p + 0.0).tobytes(): i for i, p in enumerate(mu.points)}
+    grid = np.array(list(itertools.product(_GRID + (2.0,), repeat=mu.dimension)))
+    for nu in members:
+        expected = [reference[(p + 0.0).tobytes()] for p in nu.points]
+        assert measure._match_rows(mu.points, nu.points).tolist() == expected
+    for p in grid:
+        key = (p + 0.0).tobytes()
+        if key in reference:
+            assert measure._match_rows(mu.points, p[None]).tolist() == [reference[key]]
+        else:
+            with pytest.raises(AbsoluteContinuityError):
+                measure._match_rows(mu.points, p[None])
+
+    obj = family.to_json_dict()
+    row = int(np.flatnonzero(family.densities[-1])[0])
+    obj["densities"][-1][row] *= 1.0 + 1e-9
+    with pytest.raises(ValidationError):
+        MeasureFamily.from_json_dict(obj)
+
+    off = make_discrete([[2.0] * mu.dimension], [1.0])
+    with pytest.raises(AbsoluteContinuityError):
+        MeasureFamily(family.members + (off,), mu,
+                      family.densities + (np.zeros(mu.support_size),))
 
 
 def test_family_json_round_trip():

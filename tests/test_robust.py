@@ -1,4 +1,5 @@
 """Associated Young pair, robust L1 error, bound verification, experiments."""
+import csv
 import json
 from pathlib import Path
 
@@ -6,11 +7,11 @@ import numpy as np
 import pytest
 
 from orlicz_uat import (Box, HypothesisViolation, MeasureFamily,
-                        ValidationError, associated_young_pair, constant,
-                        entropy, fit_random_features, from_table,
-                        make_discrete, power, report_json_dict, robust_error,
-                        run_robust_experiment, verify_robust_bound,
-                        zero_network)
+                        ValidationError, associated_young_pair, build_family,
+                        constant, entropy, fit_random_features, from_table,
+                        make_discrete, power, report_json_dict, robust,
+                        robust_error, run_robust_experiment,
+                        verify_robust_bound, zero_network)
 
 
 def singleton_family():
@@ -251,3 +252,32 @@ def test_experiment_artifacts_deterministic(tmp_path):
     run_robust_experiment(base_config(out2))
     for name in ("report.json", "curve.csv", "network.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"widths": [0, 8, 16], "seeds": 2},
+    {"case": "ii", "activation": "relu", "clip_range": [-2.0, 2.0],
+     "widths": [4, 8], "seeds": 2},
+])
+def test_curve_rows_match_direct_member_errors(tmp_path, monkeypatch, overrides):
+    # curve.csv takes each member error from the densities; every candidate,
+    # not only the verified one, must agree with the direct per-member sum
+    candidates = {}
+    trial = robust._trial
+
+    def recording(case, cfg, f, mu, box, width, seed):
+        eta, artifact = trial(case, cfg, f, mu, box, width, seed)
+        candidates[(width, seed)] = (f, eta)
+        return eta, artifact
+
+    monkeypatch.setattr(robust, "_trial", recording)
+    cfg = base_config(tmp_path, epsilon=1e-9, **overrides)
+    result = run_robust_experiment(cfg)
+    family, _ = build_family(cfg["family"])
+    with open(result.paths["curve"], newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == len(candidates) == len(overrides["widths"]) * 2
+    for row in rows:
+        f, eta = candidates[(int(row["width"]), int(row["seed"]))]
+        _, direct = robust_error(family, f, eta)
+        assert float(row["sup_l1"]) == pytest.approx(direct, rel=1e-12, abs=0.0)
