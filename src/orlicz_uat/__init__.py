@@ -13,13 +13,11 @@ from .measure import (DiscreteMeasure, DlvpCertificate, MeasureFamily,
                       default_psi_candidates, dlvp_certificate,
                       dominating_measure, make_discrete, radon_nikodym,
                       sample_empirical)
-from .net import (AdditiveFamilyReport, AffineFamily, AffineMap, FnnSpec,
-                  Layer, LinearOnlyFamily, Network, RegisterLayout,
-                  RegisterNetwork, WeightCompatReport, ZeroFamily,
-                  box_indicator, build_fnn, bump_1d, check_additive_family,
-                  check_weight_compatibility, clip_and_localize,
-                  fnn_from_network, fnn_to_network, identity_gadget,
-                  max_gadget, min_gadget, network_from_json, network_to_json,
+from .net import (AdditiveFamilyReport, AffineFamily, AffineMap, Layer,
+                  LinearOnlyFamily, Network, RegisterLayout, RegisterNetwork,
+                  WeightCompatReport, ZeroFamily, box_indicator, bump_1d,
+                  check_additive_family, check_weight_compatibility,
+                  clip_and_localize, identity_gadget, max_gadget, min_gadget,
                   one_weight, quadratic_weight, quadratic_weight_scalar,
                   to_register_form, zero_network)
 from .orlicz import (FunctionTable, GaugeNormResult, HolderReport, gauge_norm,
@@ -30,8 +28,7 @@ from .robust import (RobustReport, RobustRunResult, associated_young_pair,
 from .young import (Delta2Report, NFunctionVerdict, YoungFunction,
                     YoungInequalityReport, check_delta2,
                     check_young_inequality, complementary, entropy,
-                    exp_minus_linear, inverse, is_n_function, power,
-                    tabulated, young_from_json, young_to_json)
+                    exp_minus_linear, inverse, is_n_function, power, tabulated)
 
 __version__ = "0.1.0"
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _parsed
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,5 +61,5 @@ class Box:
     def from_json_dict(cls, obj: dict) -> "Box":
         if not isinstance(obj, dict) or set(obj) != {"lo", "hi"}:
             raise ValidationError("box object must have exactly the keys lo and hi")
-        return cls(np.asarray(obj["lo"], dtype=np.float64),
-                   np.asarray(obj["hi"], dtype=np.float64))
+        return cls(*(_parsed(key, lambda v: np.asarray(v, dtype=np.float64), obj[key])
+                     for key in ("lo", "hi")))

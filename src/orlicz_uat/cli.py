@@ -21,8 +21,8 @@ from .box import Box
 from .errors import HypothesisViolation, OrliczError, ValidationError
 from .measure import DiscreteMeasure, MeasureFamily, make_discrete
 from .orlicz import FunctionTable, gauge_norm, holder_check
-from .young import (check_young_inequality, complementary, entropy,
-                    exp_minus_linear, power, young_from_json, young_to_json)
+from .young import (YoungFunction, check_young_inequality, complementary,
+                    entropy, exp_minus_linear, power)
 
 
 def parse_young_spec(spec: str):
@@ -39,7 +39,7 @@ def parse_young_spec(spec: str):
     if name == "entropy" and len(parts) == 1:
         return entropy()
     if name == "tabulated" and len(parts) == 2:
-        return young_from_json(_load_json(parts[1]))
+        return YoungFunction.from_json_dict(_load_json(parts[1]))
     raise ValidationError(f"cannot parse Young function spec {spec!r}")
 
 
@@ -97,7 +97,7 @@ def _cmd_conjugate(args) -> int:
     phi = parse_young_spec(args.phi)
     grid = _parse_grid(args.grid) if args.grid else (1e-2, 1e2, 1201)
     psi = complementary(phi, grid_spec=grid, numeric=True)
-    emit(young_to_json(psi), "json", args.out)
+    emit(psi.to_json_dict(), "json", args.out)
     return 0
 
 
@@ -215,7 +215,7 @@ def _selftest_checks():
         box = Box([-1.0, -1.0], [1.0, 1.0])
         reg = netmod.to_register_form(shallow, box)
         pts = box.sample(rng, 200)
-        diff = reg.evaluate_batch(pts) - shallow.evaluate_batch(pts)
+        diff = reg.network.evaluate_batch(pts) - shallow.evaluate_batch(pts)
         assert np.max(np.abs(diff)) <= 1e-9
         assert set(reg.network.hidden_widths) == {4}
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and checked parsing of input."""
+import operator
 
 
 class OrliczError(Exception):
@@ -7,6 +8,24 @@ class OrliczError(Exception):
 
 class ValidationError(OrliczError, ValueError):
     """Malformed, inconsistent, or out-of-domain input."""
+
+
+def _parsed(key: str, convert, value):
+    """convert(value), or a ValidationError naming key if convert refuses it."""
+    try:
+        return convert(value)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError, KeyError, OverflowError):
+        raise ValidationError(f"bad value for {key}: {value!r:.80}") from None
+
+
+def _count(value) -> int:
+    """A nonnegative integer; floats, strings and negative numbers are refused."""
+    n = operator.index(value)
+    if n < 0:
+        raise ValueError("negative count")
+    return n
 
 
 class UnboundedConjugateError(OrliczError):

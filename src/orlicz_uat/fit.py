@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import FitSolverError, ValidationError
+from .errors import FitSolverError, ValidationError, _count, _parsed
 from .measure import DiscreteMeasure, _match_rows
 from .net import Layer, Network, _apply_activation
 from .orlicz import FunctionTable, gauge_norm, l1_norm
@@ -55,6 +55,7 @@ class TargetFunction:
 
 def sin_product(dim: int = 1, frequency: float = 1.0) -> TargetFunction:
     """prod_i sin(2 pi frequency x_i); bounded by 1."""
+    frequency = float(frequency)
     def fn(X):
         return np.prod(np.sin(2.0 * np.pi * frequency * X), axis=1)
     return TargetFunction("sin_product", dim, 1, fn, bound=1.0)
@@ -76,6 +77,7 @@ def smooth_step(dim: int = 1, rate: float = 8.0, threshold: float = 0.5) -> Targ
     """Logistic ramp in the first coordinate; bounded by 1."""
     if not (rate > 0.0):
         raise ValidationError("step rate must be positive")
+    threshold = float(threshold)
     def fn(X):
         return 1.0 / (1.0 + np.exp(-rate * (X[:, 0] - threshold)))
     return TargetFunction("smooth_step", dim, 1, fn, bound=1.0)
@@ -111,11 +113,13 @@ def make_target(spec: dict) -> TargetFunction:
         raise ValidationError("target spec needs a name")
     params = dict(spec)
     name = params.pop("name")
-    if name not in _TARGET_BUILDERS:
+    if not isinstance(name, str) or name not in _TARGET_BUILDERS:
         raise ValidationError(f"unknown target {name!r}")
+    if "dim" in params:
+        params["dim"] = _parsed("dim", _count, params["dim"])
     try:
         return _TARGET_BUILDERS[name](**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad parameters for target {name!r}: {exc}") from None
 
 
@@ -151,8 +155,8 @@ def fit_random_features(f: TargetFunction, mu: DiscreteMeasure, width: int,
         raise ValidationError("width must be at least 1")
     if activation not in _FIT_ACTS:
         raise ValidationError(f"activation must be one of {_FIT_ACTS}")
-    if not (ridge >= 0.0):
-        raise ValidationError("ridge must be nonnegative")
+    if not (0.0 <= ridge < math.inf):
+        raise ValidationError("ridge must be finite and nonnegative")
     if f.dim != mu.dimension:
         raise ValidationError("target and measure dimensions disagree")
     lo, hi = _support_box(mu)

@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .box import Box
-from .errors import AbsoluteContinuityError, ValidationError
+from .errors import AbsoluteContinuityError, ValidationError, _parsed
 from .young import YoungFunction, entropy, is_structural_n_function, power
 
 _DENSITY_RTOL = 1e-14
@@ -99,9 +99,13 @@ _SAMPLER_NAMES = ("uniform", "gaussian", "mixture")
 _REJECTION_ROUNDS = 1000
 
 
+def _coords(key: str, value, d: int) -> np.ndarray:
+    """value as a float vector of length d; a scalar is repeated d times."""
+    return _parsed(key, lambda v: np.broadcast_to(np.asarray(v, dtype=np.float64), (d,)), value)
+
+
 def _draw_gaussian(rng: np.random.Generator, n: int, mean, std, box: Box) -> np.ndarray:
-    mean = np.broadcast_to(np.asarray(mean, dtype=np.float64), (box.dim,))
-    std = np.broadcast_to(np.asarray(std, dtype=np.float64), (box.dim,))
+    mean, std = _coords("mean", mean, box.dim), _coords("std", std, box.dim)
     if np.any(std <= 0.0):
         raise ValidationError("gaussian std must be positive")
     out = np.empty((0, box.dim))
@@ -123,7 +127,8 @@ def sample_empirical(density_spec, n: int, seed: int, clip_box: Box) -> Discrete
     """
     if n < 1:
         raise ValidationError("sample size must be positive")
-    spec = {"name": density_spec} if isinstance(density_spec, str) else dict(density_spec)
+    spec = ({"name": density_spec} if isinstance(density_spec, str)
+            else _parsed("sampler", dict, density_spec))
     name = spec.pop("name", None)
     if name not in _SAMPLER_NAMES:
         raise ValidationError(f"unknown sampler {name!r}; choose from {_SAMPLER_NAMES}")
@@ -143,12 +148,14 @@ def sample_empirical(density_spec, n: int, seed: int, clip_box: Box) -> Discrete
         comps = spec.pop("components", None)
         if spec or not comps:
             raise ValidationError("mixture sampler needs a nonempty components list")
-        probs = np.array([float(c["weight"]) for c in comps])
-        if np.any(probs <= 0.0):
-            raise ValidationError("mixture component weights must be positive")
+        comps = _parsed("components", lambda v: [(float(c["weight"]), c["mean"], c["std"])
+                                                for c in v], comps)
+        probs = np.array([w for w, _, _ in comps])
+        if not np.all((probs > 0.0) & (probs < np.inf)):
+            raise ValidationError("mixture component weights must be positive and finite")
         probs = probs / probs.sum()
-        means = [np.broadcast_to(np.asarray(c["mean"], dtype=np.float64), (d,)) for c in comps]
-        stds = [np.broadcast_to(np.asarray(c["std"], dtype=np.float64), (d,)) for c in comps]
+        means = [_coords("mean", m, d) for _, m, _ in comps]
+        stds = [_coords("std", sd, d) for _, _, sd in comps]
         pts = np.empty((0, d))
         for _ in range(_REJECTION_ROUNDS):
             idx = rng.choice(len(comps), size=n, p=probs)

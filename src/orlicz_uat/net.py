@@ -144,18 +144,6 @@ class Network:
         return net
 
 
-def evaluate(net, x) -> np.ndarray:
-    return net.evaluate(x)
-
-
-def network_to_json(net: Network) -> dict:
-    return net.to_json_dict()
-
-
-def network_from_json(obj: dict) -> Network:
-    return Network.from_json_dict(obj)
-
-
 def zero_network(n_in: int, n_out: int) -> Network:
     return Network((Layer(np.zeros((n_out, n_in)), np.zeros(n_out), _OUTPUT_ACT),))
 
@@ -367,20 +355,6 @@ class RegisterNetwork:
     sem_lo: np.ndarray = field(repr=False)
     sem_hi: np.ndarray = field(repr=False)
 
-    @property
-    def input_dim(self) -> int:
-        return self.network.input_dim
-
-    @property
-    def output_dim(self) -> int:
-        return self.network.output_dim
-
-    def evaluate(self, x) -> np.ndarray:
-        return self.network.evaluate(x)
-
-    def evaluate_batch(self, X) -> np.ndarray:
-        return self.network.evaluate_batch(X)
-
 
 def to_register_form(shallow: Network, box: Box):
     """Rewrite a one-hidden-layer relu network at width n_in + n_out + 1.
@@ -445,7 +419,7 @@ def clip_and_localize(g: RegisterNetwork, J: Box, delta: float,
         raise ValidationError("clip needs delta > 0")
     if not (c < C):
         raise ValidationError("clip needs c < C")
-    if J.dim != g.input_dim:
+    if J.dim != g.network.input_dim:
         raise ValidationError("clip box dimension disagrees with the network")
     K = J.enlarged(delta)
     if not g.box.covers(K):
@@ -549,73 +523,6 @@ class AffineMap:
     def __call__(self, X: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return pts @ self.a + self.b
-
-
-@dataclass(frozen=True, eq=False)
-class FnnSpec:
-    """eta(x) = sum_n readouts[n] * activation(hidden_maps[n](x))."""
-
-    hidden_maps: tuple
-    readouts: np.ndarray
-    activation: str
-
-    def __post_init__(self):
-        maps = tuple(self.hidden_maps)
-        r = np.asarray(self.readouts, dtype=np.float64)
-        if r.ndim == 1:
-            r = r.reshape(-1, 1)
-        if not maps or r.shape[0] != len(maps):
-            raise ValidationError("need one readout row per hidden map")
-        dims = {h.dim for h in maps}
-        if len(dims) != 1:
-            raise ValidationError("hidden maps must share one input dimension")
-        if self.activation not in _HIDDEN_ACTS:
-            raise ValidationError(f"unknown activation {self.activation!r}")
-        r = np.ascontiguousarray(r)
-        r.setflags(write=False)
-        object.__setattr__(self, "hidden_maps", maps)
-        object.__setattr__(self, "readouts", r)
-
-    @property
-    def input_dim(self) -> int:
-        return self.hidden_maps[0].dim
-
-    @property
-    def output_dim(self) -> int:
-        return self.readouts.shape[1]
-
-
-class FnnEvaluator:
-    def __init__(self, spec: FnnSpec):
-        self.spec = spec
-
-    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        feats = np.stack([_apply_activation(self.spec.activation, h(pts))
-                          for h in self.spec.hidden_maps], axis=1)
-        return feats @ self.spec.readouts
-
-    def evaluate(self, x) -> np.ndarray:
-        return self.evaluate_batch(np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
-
-
-def build_fnn(spec: FnnSpec) -> FnnEvaluator:
-    return FnnEvaluator(spec)
-
-
-def fnn_to_network(spec: FnnSpec) -> Network:
-    A = np.vstack([h.a for h in spec.hidden_maps])
-    b = np.array([h.b for h in spec.hidden_maps])
-    return Network((Layer(A, b, spec.activation),
-                    Layer(spec.readouts.T, np.zeros(spec.output_dim), _OUTPUT_ACT)))
-
-
-def fnn_from_network(net: Network) -> FnnSpec:
-    if len(net.layers) != 2 or np.any(net.layers[1].b != 0.0):
-        raise ValidationError("only bias-free one-hidden-layer networks convert")
-    hid, out = net.layers
-    maps = tuple(AffineMap(hid.A[k], hid.b[k]) for k in range(hid.out_dim))
-    return FnnSpec(maps, out.A.T, hid.act)
 
 
 class AffineFamily:

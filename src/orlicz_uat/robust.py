@@ -23,17 +23,16 @@ import numpy as np
 
 from . import serialize
 from .box import Box
-from .errors import HypothesisViolation, OrliczError, ValidationError
+from .errors import HypothesisViolation, OrliczError, ValidationError, _count, _parsed
 from .fit import TargetFunction, fit_random_features, make_target, residual_table
 from .measure import (DiscreteMeasure, MeasureFamily, dlvp_certificate,
                       sample_empirical)
-from .net import (AffineFamily, AffineMap, FnnSpec, Network, RegisterNetwork,
-                  _apply_activation, build_fnn, check_additive_family,
-                  check_weight_compatibility, clip_and_localize,
-                  fnn_to_network, quadratic_weight, quadratic_weight_scalar,
+from .net import (AffineFamily, Layer, Network, _apply_activation,
+                  check_additive_family, check_weight_compatibility,
+                  clip_and_localize, quadratic_weight, quadratic_weight_scalar,
                   to_register_form, zero_network)
 from .orlicz import _HOLDER_SLACK, FunctionTable, _point_norms, gauge_norm, l1_norm
-from .young import YoungFunction, complementary, young_from_json
+from .young import YoungFunction, complementary
 
 _CASES = ("i", "ii", "iii", "iv")
 _DEFAULT_WIDTHS = (8, 16, 32, 64, 128)
@@ -139,32 +138,33 @@ def build_family(spec: dict):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError("family spec needs a kind")
     kind = spec["kind"]
-    if kind not in _FAMILY_KINDS:
+    if not isinstance(kind, str) or kind not in _FAMILY_KINDS:
         raise ValidationError(f"unknown family kind {kind!r}")
     extra = set(spec) - _FAMILY_KINDS[kind]
     if extra:
         raise ValidationError(f"unknown family keys: {sorted(extra)}")
-    if kind == "members":
-        members = [DiscreteMeasure.from_json_dict(m) for m in spec["members"]]
-        return MeasureFamily.from_members(members), _hull_box(members)
     missing = _FAMILY_KINDS[kind] - set(spec)
     if missing:
         raise ValidationError(f"family spec is missing {sorted(missing)}")
+    if kind == "members":
+        members = _parsed("members", lambda v: [DiscreteMeasure.from_json_dict(m) for m in v],
+                         spec["members"])
+        return MeasureFamily.from_members(members), _hull_box(members)
     box = Box.from_json_dict(spec["box"])
-    n = int(spec["points"])
-    master = np.random.SeedSequence(int(spec["seed"]))
+    n = _parsed("points", _count, spec["points"])
+    master = np.random.SeedSequence(_parsed("seed", _count, spec["seed"]))
     if kind == "samplers":
-        samplers = list(spec["samplers"])
+        samplers = _parsed("samplers", list, spec["samplers"])
         if not samplers:
             raise ValidationError("need at least one sampler")
         children = master.spawn(len(samplers))
         members = [sample_empirical(s, n, int(children[i].generate_state(1)[0]), box)
                    for i, s in enumerate(samplers)]
     else:
-        count = int(spec["count"])
-        if count < 1:
+        size = _parsed("count", _count, spec["count"])
+        if size < 1:
             raise ValidationError("mixture family count must be positive")
-        children = master.spawn(count)
+        children = master.spawn(size)
         members = []
         for child in children:
             spec_seed, sample_seed = child.generate_state(2)
@@ -173,21 +173,22 @@ def build_family(spec: dict):
     return MeasureFamily.from_members(members), box
 
 
-def _network_to_fnn(net: Network) -> FnnSpec:
-    """One-hidden-layer network as an explicit feature sum.
+def _bias_as_hidden_unit(net: Network) -> Network:
+    """The same one-hidden-layer network with a zero readout bias.
 
-    A nonzero readout bias becomes one extra constant feature: the map
-    x -> activation(1) is constant and activation(1) is nonzero for every
-    supported activation.
+    Functional-input networks sum hidden maps of the additive family, with
+    no readout bias.  A nonzero bias becomes one extra hidden unit on the
+    constant map x -> 1, read out with weight bias / activation(1); that
+    quotient exists because activation(1) is nonzero for every activation.
     """
     hid, out = net.layers
-    maps = [AffineMap(hid.A[k], hid.b[k]) for k in range(hid.out_dim)]
-    readouts = out.A.T
+    A, b, readout = hid.A, hid.b, out.A
     if np.any(out.b != 0.0):
         act1 = float(_apply_activation(hid.act, np.array([1.0]))[0])
-        maps.append(AffineMap(np.zeros(net.input_dim), 1.0))
-        readouts = np.vstack([readouts, out.b / act1])
-    return FnnSpec(tuple(maps), readouts, hid.act)
+        A = np.vstack([A, np.zeros((1, net.input_dim))])
+        b = np.append(b, 1.0)
+        readout = np.hstack([readout, (out.b / act1)[:, None]])
+    return Network((Layer(A, b, hid.act), Layer(readout, np.zeros(out.out_dim), "none")))
 
 
 _CONFIG_KEYS = {"case", "family", "target", "epsilon", "widths", "seeds",
@@ -209,23 +210,26 @@ def _validate_config(config: dict) -> dict:
     cfg = dict(config)
     if cfg["case"] not in _CASES:
         raise ValidationError(f"case must be one of {_CASES}")
-    if not (float(cfg["epsilon"]) > 0.0):
+    cfg["epsilon"] = _parsed("epsilon", float, cfg["epsilon"])
+    if not (cfg["epsilon"] > 0.0):
         raise ValidationError("epsilon must be positive")
-    widths = [int(w) for w in cfg.get("widths", _DEFAULT_WIDTHS)]
-    if any(w < 0 for w in widths) or not widths:
-        raise ValidationError("widths must be a nonempty list of counts")
-    seeds = cfg.get("seeds", list(_DEFAULT_SEEDS))
-    if isinstance(seeds, int):
-        seeds = list(range(seeds))
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise ValidationError("need at least one seed")
-    cfg["widths"] = widths
-    cfg["seeds"] = seeds
-    cfg["epsilon"] = float(cfg["epsilon"])
+    widths = cfg.get("widths", _DEFAULT_WIDTHS)
+    cfg["widths"] = _parsed("widths", lambda v: [_count(w) for w in v], widths)
+    seeds = cfg.get("seeds", _DEFAULT_SEEDS)
+    seeds = range(seeds) if isinstance(seeds, int) else seeds
+    cfg["seeds"] = _parsed("seeds", lambda v: [_count(s) for s in v], seeds)
+    if not cfg["widths"] or not cfg["seeds"]:
+        raise ValidationError("widths and seeds must be nonempty")
     cfg.setdefault("activation", _DEFAULT_ACTIVATION[cfg["case"]])
-    cfg.setdefault("delta", 0.05)
-    cfg.setdefault("ridge", 1e-10)
+    cfg["delta"] = _parsed("delta", float, cfg.get("delta", 0.05))
+    cfg["ridge"] = _parsed("ridge", float, cfg.get("ridge", 1e-10))
+    if "clip_range" in cfg:
+        cfg["clip_range"] = _parsed(
+            "clip_range", lambda v: np.asarray(v, dtype=np.float64).reshape(2), cfg["clip_range"])
+    if "psi_candidates" in cfg:
+        cfg["psi_candidates"] = _parsed(
+            "psi_candidates", lambda v: [YoungFunction.from_json_dict(c) for c in v],
+            cfg["psi_candidates"])
     return cfg
 
 
@@ -291,31 +295,28 @@ def _check_hypotheses(case: str, cfg: dict, family: MeasureFamily,
 
 def _trial(case: str, cfg: dict, f: TargetFunction, mu_dom: DiscreteMeasure,
            box: Box, width: int, seed: int):
-    """Candidate network for one schedule entry.
+    """Candidate network for one schedule entry, as evaluated and as written.
 
-    Returns (evaluator, artifact network).  Width 0 is the zero network.
+    Width 0 is the zero network; case ii returns the clipped register-form
+    network and case iv the fit with its readout bias as a hidden unit.
     """
     if width == 0:
-        net = zero_network(f.dim, f.out_dim)
-        return net, net
+        return zero_network(f.dim, f.out_dim)
     g0 = fit_random_features(f, mu_dom, width, cfg["activation"], seed, cfg["ridge"])
     if case == "ii":
-        delta = float(cfg["delta"])
         if "clip_range" in cfg:
             c_lo, c_hi = (float(v) for v in cfg["clip_range"])
         else:
             c_lo, c_hi = -f.bound, f.bound
-        K = box.enlarged(delta)
+        K = box.enlarged(cfg["delta"])
         reg = to_register_form(g0, K)
         expected = f.dim + f.out_dim + 1
         if any(w != expected for w in reg.network.hidden_widths):
             raise OrliczError("register rewrite produced a wrong width")
-        eta = clip_and_localize(reg, box, delta, c_lo, c_hi)
-        return eta, eta.network
+        return clip_and_localize(reg, box, cfg["delta"], c_lo, c_hi).network
     if case == "iv":
-        spec = _network_to_fnn(g0)
-        return build_fnn(spec), fnn_to_network(spec)
-    return g0, g0
+        return _bias_as_hidden_unit(g0)
+    return g0
 
 
 def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
@@ -333,22 +334,19 @@ def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
     f = make_target(cfg["target"])
     if f.dim != family.dominating.dimension:
         raise ValidationError("target and family dimensions disagree")
-    candidates = None
-    if "psi_candidates" in cfg:
-        candidates = [young_from_json(c) for c in cfg["psi_candidates"]]
-    phi_M, psi_M, _ = associated_young_pair(family, candidates)
+    phi_M, psi_M, _ = associated_young_pair(family, cfg.get("psi_candidates"))
     _check_hypotheses(case, cfg, family, f, phi_M, box)
     mu_dom = family.dominating
 
     def run_one(width: int, seed: int):
         # one evaluation on the dominating support gives every member's
         # error: ||f - eta||_{L1(nu)} = sum ||f - eta|| * (dnu/dmu) * mu
-        eta, artifact = _trial(case, cfg, f, mu_dom, box, width, seed)
+        eta = _trial(case, cfg, f, mu_dom, box, width, seed)
         resid = residual_table(f, eta, mu_dom)
         weighted = _point_norms(resid, "euclidean") * mu_dom.weights
         sup = max(float(dens @ weighted) for dens in family.densities)
         gauge = gauge_norm(phi_M, mu_dom, resid).value
-        return eta, artifact, sup, gauge
+        return eta, sup, gauge
 
     epsilon = cfg["epsilon"]
     rows = []
@@ -363,21 +361,21 @@ def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
                 batch = [(seed, fut.result()) for seed, fut in futures]
         else:
             batch = [(seed, run_one(width, seed)) for seed in cfg["seeds"]]
-        for seed, (eta, artifact, sup, gauge) in batch:
+        for seed, (eta, sup, gauge) in batch:
             rows.append((width, seed, sup, gauge))
             if best is None or sup < best[0]:
-                best = (sup, width, seed, eta, artifact)
+                best = (sup, width, seed, eta)
             if chosen is None and sup < epsilon:
-                chosen = (sup, width, seed, eta, artifact)
+                chosen = (sup, width, seed, eta)
         if chosen is not None:
             break
     success = chosen is not None
-    sup, width, seed, eta, artifact = chosen if success else best
+    sup, width, seed, eta = chosen if success else best
     report = verify_robust_bound(family, phi_M, psi_M, f, eta, epsilon=epsilon)
     out.mkdir(parents=True, exist_ok=True)
     paths = {"report": out / "report.json", "curve": out / "curve.csv",
              "network": out / "network.json"}
-    serialize.write_bytes(paths["network"], serialize.json_text(artifact.to_json_dict()))
+    serialize.write_bytes(paths["network"], serialize.json_text(eta.to_json_dict()))
     serialize.write_bytes(paths["report"], serialize.json_text(
         report_json_dict(report, "network.json", case)))
     serialize.write_bytes(paths["curve"], serialize.csv_text(

@@ -14,10 +14,13 @@ The complementary (convex conjugate) function is
 
     psi(y) = sup_{x >= 0} (x * |y| - phi(x)),
 
-returned in closed form for cataloged pairs and as a tabulated function via
-numeric maximization otherwise.  Only finite-valued functions are
-representable; conjugates that jump to infinity raise
-UnboundedConjugateError.
+returned in closed form for cataloged pairs and otherwise as a tabulated
+function on an ordinate grid.  The conjugate of a tabulated function is
+exact there: its supremum sits at a knot, psi(y) = max_k (g_k y - v_k)
+(the discrete Legendre transform; Lucet, Numer. Algorithms 16, 1997).
+Cataloged functions tabulated on request (numeric=True) solve phi'(x) = y
+by bisection.  Only finite-valued functions are representable; conjugates
+that jump to infinity raise UnboundedConjugateError.
 """
 from __future__ import annotations
 
@@ -25,13 +28,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     BracketingError,
     DegenerateProbeError,
     UnboundedConjugateError,
     ValidationError,
+    _parsed,
 )
 
 POWER = "power"
@@ -65,12 +68,13 @@ class YoungFunction:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown Young function kind {self.kind!r}")
         if self.kind == POWER:
-            if self.p is None or not math.isfinite(self.p) or self.p < 1.0:
+            p = _parsed("p", float, self.p)
+            if not math.isfinite(p) or p < 1.0:
                 raise ValidationError("power kind needs finite p >= 1")
-            s = 1.0 if self.scale is None else float(self.scale)
+            s = 1.0 if self.scale is None else _parsed("scale", float, self.scale)
             if not math.isfinite(s) or s <= 0.0:
                 raise ValidationError("power kind needs finite scale > 0")
-            object.__setattr__(self, "p", float(self.p))
+            object.__setattr__(self, "p", p)
             object.__setattr__(self, "scale", s)
         elif self.kind in (EXP_MINUS_LINEAR, ENTROPY):
             if self.p is not None or self.scale is not None:
@@ -81,8 +85,8 @@ class YoungFunction:
     def _init_tabulated(self):
         if self.grid is None or self.values is None:
             raise ValidationError("tabulated kind needs grid and values")
-        g = np.asarray(self.grid, dtype=np.float64).ravel()
-        v = np.asarray(self.values, dtype=np.float64).ravel()
+        g = _parsed("grid", lambda a: np.asarray(a, dtype=np.float64).ravel(), self.grid)
+        v = _parsed("values", lambda a: np.asarray(a, dtype=np.float64).ravel(), self.values)
         if g.size != v.size or g.size < 2:
             raise ValidationError("tabulated grid and values need equal length >= 2")
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
@@ -178,8 +182,7 @@ class YoungFunction:
         if kind == POWER:
             return cls(POWER, p=obj.get("p"), scale=obj.get("scale"))
         if kind == TABULATED:
-            return cls(TABULATED, grid=np.asarray(obj.get("grid"), dtype=np.float64),
-                       values=np.asarray(obj.get("values"), dtype=np.float64))
+            return cls(TABULATED, grid=obj.get("grid"), values=obj.get("values"))
         return cls(kind)
 
 
@@ -198,14 +201,6 @@ def entropy() -> YoungFunction:
 def tabulated(grid, values) -> YoungFunction:
     return YoungFunction(TABULATED, grid=np.asarray(grid, dtype=np.float64),
                          values=np.asarray(values, dtype=np.float64))
-
-
-def evaluate(phi: YoungFunction, x: float) -> float:
-    """phi(|x|) for one finite scalar."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValidationError("evaluation point must be finite")
-    return float(phi(x))
 
 
 def is_structural_n_function(phi: YoungFunction) -> bool | None:
@@ -254,30 +249,13 @@ def _conjugate_value(phi: YoungFunction, y: float) -> float:
                 hi = mid
         x_star = 0.5 * (lo + hi)
         return max(0.0, x_star * y - float(phi(x_star)))
-    # No derivative: grow the search interval until the concave objective
-    # x*y - phi(x) stops increasing, then do a bounded 1-d maximization.
-    def obj(x):
-        return x * y - float(phi(x))
-
-    hi = 1.0
-    prev = obj(hi)
-    steps = 0
-    while True:
-        cand = obj(2.0 * hi)
-        if not (cand > prev):
-            break
-        hi *= 2.0
-        prev = cand
-        steps += 1
-        if steps > _BRACKET_BUDGET:
-            raise UnboundedConjugateError(
-                f"objective for y={y:g} keeps increasing; conjugate is unbounded")
-    upper = 2.0 * hi
-    res = minimize_scalar(lambda x: float(phi(x)) - x * y, bounds=(0.0, upper),
-                          method="bounded",
-                          options={"xatol": 1e-12 * max(1.0, upper)})
-    best = max(0.0, -float(res.fun), obj(0.0))
-    return best
+    # Tabulated: x*y - phi(x) is linear between knots and along the final
+    # ray, so the supremum sits at a knot unless y exceeds the final slope.
+    g, v = phi.grid, phi.values
+    if y > (v[-1] - v[-2]) / (g[-1] - g[-2]):
+        raise UnboundedConjugateError(
+            f"conjugate ordinate y={y:g} exceeds the final slope of the table")
+    return float(np.max(g * y - v))
 
 
 def complementary(phi: YoungFunction, grid_spec=None, *, numeric: bool = False) -> YoungFunction:
@@ -419,11 +397,3 @@ def inverse(phi: YoungFunction, y: float, tol: float = 1e-10) -> float:
         else:
             hi = x
     return x
-
-
-def young_to_json(phi: YoungFunction) -> dict:
-    return phi.to_json_dict()
-
-
-def young_from_json(obj: dict) -> YoungFunction:
-    return YoungFunction.from_json_dict(obj)

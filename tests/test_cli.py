@@ -1,8 +1,15 @@
 """Command line surface: parsing, output formats, exit codes."""
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orlicz_uat.cli import dispatch, parse_young_spec
 from orlicz_uat.errors import ValidationError
@@ -209,6 +216,91 @@ def test_robust_command_hypothesis_exit_code(tmp_path, capsys):
                      "--out-dir", str(tmp_path / "run")])
     assert code == 3
     assert "bounded activation" in capsys.readouterr().err
+
+
+_UNIT = {"lo": [0.0], "hi": [1.0]}
+_FUZZ_BASE = {
+    "family": {"kind": "samplers", "points": 12, "seed": 5, "box": _UNIT,
+               "samplers": ["uniform", {"name": "mixture", "components": [
+                   {"weight": 1.0, "mean": [0.5], "std": [0.2]}]}]},
+    "target": {"name": "sin_product", "dim": 1, "frequency": 1.0},
+    "epsilon": 0.5, "widths": [2], "seeds": [0], "ridge": 1e-8,
+    "psi_candidates": [{"kind": "power", "p": 2.0, "scale": 0.5}],
+}
+_FUZZ_CONFIGS = {
+    "i": dict(_FUZZ_BASE, case="i", activation="sigmoid"),
+    "ii": dict(_FUZZ_BASE, case="ii", activation="relu", delta=0.05, clip_range=[-1.0, 1.0]),
+    "iii": dict(_FUZZ_BASE, case="iii", compact_box=_UNIT),
+    "iv": dict(_FUZZ_BASE, case="iv"),
+}
+_DELETE = object()
+_JUNK = (_DELETE, "abc", "", -1, 0, 3, 1.5, None, True, [], ["x"], [1.5], {}, {"x": 1},
+         float("nan"), float("inf"))
+
+
+def _key_paths(obj, prefix=()):
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    cfg = copy.deepcopy(_FUZZ_CONFIGS[draw(st.sampled_from(sorted(_FUZZ_CONFIGS)))])
+    for _ in range(draw(st.integers(1, 2))):
+        *parents, key = draw(st.sampled_from(list(_key_paths(cfg))))
+        node = cfg
+        for step in parents:
+            node = node[step]
+        value = draw(st.sampled_from(_JUNK))
+        if value is _DELETE:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(value)
+    return cfg
+
+
+@settings(max_examples=120, deadline=None)
+@given(_mutated_configs())
+def test_robust_config_mutations_exit_cleanly(cfg):
+    # whatever a config holds, the CLI answers with an exit code and at most
+    # one line on stderr, never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "cfg.json")
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(["robust", "--config", str(path), "--out-dir", str(Path(tmp, "run"))])
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+
+
+_NO_MEAN = dict(_FUZZ_BASE["family"], samplers=[
+    {"name": "mixture", "components": [{"weight": 1.0, "std": [0.2]}]}])
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("epsilon", "abc", "epsilon"),
+    ("widths", ["a"], "widths"),
+    ("widths", 5, "widths"),
+    ("seeds", "x", "seeds"),
+    ("seeds", ["x"], "seeds"),
+    ("ridge", "x", "ridge"),
+    ("psi_candidates", [{"kind": "power", "p": "x"}], "p"),
+    ("psi_candidates", 3, "psi_candidates"),
+    ("family", {"kind": "mixtures", "count": "x", "points": 12, "seed": 5, "box": _UNIT},
+     "count"),
+    ("family", _NO_MEAN, "components"),
+])
+def test_robust_config_names_the_bad_key(tmp_path, capsys, key, value, named):
+    cfg = dict(_FUZZ_CONFIGS["i"], **{key: value})
+    code = dispatch(["robust", "--config", write_json(tmp_path / "cfg.json", cfg),
+                     "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: bad value for {named}: ") and err.count("\n") == 1, err
 
 
 def test_selftest_command(capsys):

@@ -10,7 +10,6 @@ from orlicz_uat.fit import (approximation_curve, constant, draw_features,
                             gaussian_blob, sin_product, smooth_step)
 from orlicz_uat.net import _apply_activation
 from orlicz_uat.serialize import json_text
-from orlicz_uat.net import network_to_json
 
 
 def uniform_support(n=256, seed=1, lo=0.0, hi=1.0):
@@ -107,7 +106,7 @@ def test_fit_determinism_bitwise():
     f = sin_product()
     a = fit_random_features(f, mu, 16, "relu", seed=3)
     b = fit_random_features(f, mu, 16, "relu", seed=3)
-    assert json_text(network_to_json(a)) == json_text(network_to_json(b))
+    assert json_text(a.to_json_dict()) == json_text(b.to_json_dict())
 
 
 def test_fit_validation_and_singular_advice():

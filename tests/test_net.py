@@ -4,17 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from orlicz_uat import (AffineFamily, AffineMap, Box, FnnSpec, Layer,
+from orlicz_uat import (AffineFamily, AffineMap, Box, Layer,
                         LinearOnlyFamily, Network, RegisterLayout,
                         ValidationError, ZeroFamily, bump_1d, box_indicator,
-                        build_fnn, check_additive_family,
-                        check_weight_compatibility, clip_and_localize,
-                        fnn_from_network, fnn_to_network, identity_gadget,
-                        max_gadget, min_gadget, network_from_json,
-                        network_to_json, one_weight, quadratic_weight,
-                        quadratic_weight_scalar, to_register_form,
-                        zero_network)
-from orlicz_uat.net import evaluate
+                        check_additive_family, check_weight_compatibility,
+                        clip_and_localize, fit_random_features,
+                        identity_gadget, make_discrete, max_gadget,
+                        min_gadget, one_weight, quadratic_weight,
+                        quadratic_weight_scalar, robust, sin_product,
+                        to_register_form, zero_network)
 
 
 def relu_pair_identity():
@@ -27,27 +25,27 @@ def relu_pair_identity():
 def test_evaluate_affine_identity():
     net = Network((Layer(np.eye(2), np.zeros(2), "none"),))
     x = np.array([0.3, -2.0])
-    assert evaluate(net, x).tolist() == x.tolist()
+    assert net.evaluate(x).tolist() == x.tolist()
 
 
 def test_evaluate_relu_pair_identity():
     net = relu_pair_identity()
-    assert evaluate(net, [-3.0])[0] == -3.0
-    assert evaluate(net, [4.5])[0] == 4.5
-    assert evaluate(net, [0.0])[0] == 0.0
+    assert net.evaluate([-3.0])[0] == -3.0
+    assert net.evaluate([4.5])[0] == 4.5
+    assert net.evaluate([0.0])[0] == 0.0
 
 
 def test_evaluate_relu_kills_negative():
     net = Network((Layer(np.eye(1), np.zeros(1), "relu"),
                    Layer(np.eye(1), np.zeros(1), "none")))
-    assert evaluate(net, [-1.0])[0] == 0.0
-    assert evaluate(net, [2.0])[0] == 2.0
+    assert net.evaluate([-1.0])[0] == 0.0
+    assert net.evaluate([2.0])[0] == 2.0
 
 
 def test_evaluate_dimension_mismatch():
     net = relu_pair_identity()
     with pytest.raises(ValidationError):
-        evaluate(net, [1.0, 2.0])
+        net.evaluate([1.0, 2.0])
 
 
 def test_network_validation():
@@ -69,10 +67,10 @@ def test_network_json_round_trip_bit_exact():
     rng = np.random.default_rng(2)
     net = Network((Layer(rng.standard_normal((3, 2)), rng.standard_normal(3), "relu"),
                    Layer(rng.standard_normal((1, 3)), rng.standard_normal(1), "none")))
-    obj = network_to_json(net)
+    obj = net.to_json_dict()
     assert set(obj) == {"input_dim", "layers"}
     assert set(obj["layers"][0]) == {"A", "b", "act"}
-    back = network_from_json(json.loads(json.dumps(obj)))
+    back = Network.from_json_dict(json.loads(json.dumps(obj)))
     for la, lb in zip(net.layers, back.layers):
         assert la.A.tolist() == lb.A.tolist()
         assert la.b.tolist() == lb.b.tolist()
@@ -81,25 +79,25 @@ def test_network_json_round_trip_bit_exact():
 
 def test_zero_network():
     net = zero_network(2, 3)
-    assert evaluate(net, [5.0, -1.0]).tolist() == [0.0, 0.0, 0.0]
+    assert net.evaluate([5.0, -1.0]).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_identity_gadget_oracles():
     net = identity_gadget(10.0)
-    assert evaluate(net, [-5.0])[0] == -5.0
-    assert evaluate(net, [3.0])[0] == 3.0
+    assert net.evaluate([-5.0])[0] == -5.0
+    assert net.evaluate([3.0])[0] == 3.0
     # out-of-domain saturation below -N
-    assert evaluate(net, [-11.0])[0] == -10.0
+    assert net.evaluate([-11.0])[0] == -10.0
     with pytest.raises(ValidationError):
         identity_gadget(0.0)
 
 
 def test_max_min_gadget_oracles():
     mx, mn = max_gadget(), min_gadget()
-    assert evaluate(mx, [2.0, 5.0])[0] == 5.0
-    assert evaluate(mn, [-1.0, -3.0])[0] == -3.0
-    assert evaluate(mx, [4.0, 4.0])[0] == 4.0
-    assert evaluate(mn, [4.0, 4.0])[0] == 4.0
+    assert mx.evaluate([2.0, 5.0])[0] == 5.0
+    assert mn.evaluate([-1.0, -3.0])[0] == -3.0
+    assert mx.evaluate([4.0, 4.0])[0] == 4.0
+    assert mn.evaluate([4.0, 4.0])[0] == 4.0
 
 
 def test_gadget_exactness_sweep():
@@ -113,11 +111,11 @@ def test_gadget_exactness_sweep():
 
 def test_bump_1d_oracles():
     V = bump_1d(0.0, 1.0, 0.5)
-    assert evaluate(V, [0.5])[0] == 1.0
-    assert evaluate(V, [-0.5])[0] == 0.0
-    assert evaluate(V, [-0.25])[0] == 0.5
-    assert evaluate(V, [1.25])[0] == 0.5
-    assert evaluate(V, [2.0])[0] == 0.0
+    assert V.evaluate([0.5])[0] == 1.0
+    assert V.evaluate([-0.5])[0] == 0.0
+    assert V.evaluate([-0.25])[0] == 0.5
+    assert V.evaluate([1.25])[0] == 0.5
+    assert V.evaluate([2.0])[0] == 0.0
     with pytest.raises(ValidationError):
         bump_1d(1.0, 0.0, 0.5)
     with pytest.raises(ValidationError):
@@ -139,9 +137,9 @@ def test_bump_1d_range_on_dense_grid():
 def test_box_indicator_oracles():
     J = Box(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
     V = box_indicator(J, 0.5)
-    assert evaluate(V, [0.5, 0.5])[0] == 1.0
-    assert evaluate(V, [0.5, 1.6])[0] == 0.0
-    assert abs(evaluate(V, [-0.25, 0.5])[0] - 0.5) <= 1e-12
+    assert V.evaluate([0.5, 0.5])[0] == 1.0
+    assert V.evaluate([0.5, 1.6])[0] == 0.0
+    assert abs(V.evaluate([-0.25, 0.5])[0] - 0.5) <= 1e-12
 
 
 def test_box_indicator_support_sweep():
@@ -282,34 +280,23 @@ def test_clip_and_localize_validation():
         clip_and_localize(reg, wide, 0.25, -1.0, 1.0)
 
 
-def test_fnn_matches_network_conversion():
-    rng = np.random.default_rng(51)
-    family = AffineFamily(3)
-    maps = tuple(family.sample_member(rng) for _ in range(6))
-    readouts = rng.standard_normal((6, 2))
-    spec = FnnSpec(maps, readouts, "sigmoid")
-    net = fnn_to_network(spec)
-    X = rng.uniform(-2.0, 2.0, size=(100, 3))
-    want = build_fnn(spec).evaluate_batch(X)
-    got = net.evaluate_batch(X)
-    assert float(np.max(np.abs(want - got))) <= 1e-12
-    back = fnn_from_network(net)
-    assert float(np.max(np.abs(build_fnn(back).evaluate_batch(X) - want))) <= 1e-12
-
-
-def test_fnn_zero_readouts():
-    family = AffineFamily(1)
-    spec = FnnSpec((family.constant(1.0),), np.zeros((1, 1)), "relu")
-    assert build_fnn(spec).evaluate([3.0])[0] == 0.0
-
-
-def test_fnn_validation():
-    with pytest.raises(ValidationError):
-        FnnSpec((), np.zeros((0, 1)), "relu")
-    family = AffineFamily(2)
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValidationError):
-        FnnSpec((family.sample_member(rng),), np.zeros((2, 1)), "relu")
+def test_case_iv_artifact_folds_the_readout_bias():
+    mu = make_discrete(np.linspace(0.0, 1.0, 33).reshape(-1, 1), np.ones(33))
+    f = sin_product(1)
+    for act in ("sigmoid", "tanh", "relu"):
+        fitted = fit_random_features(f, mu, 6, act, seed=3, ridge=1e-10)
+        assert np.any(fitted.layers[1].b != 0.0)
+        art = robust._trial("iv", {"activation": act, "ridge": 1e-10}, f, mu,
+                            None, 6, 3)
+        hid, out = art.layers
+        assert out.b.tolist() == [0.0]
+        assert hid.out_dim == 7
+        assert hid.A[-1].tolist() == [0.0] and hid.b[-1] == 1.0
+        assert hid.A[:-1].tolist() == fitted.layers[0].A.tolist()
+        got, want = art.evaluate_batch(mu.points), fitted.evaluate_batch(mu.points)
+        assert float(np.max(np.abs(got - want))) <= 1e-12
+    unbiased = Network((fitted.layers[0], Layer(fitted.layers[1].A, [0.0], "none")))
+    assert robust._bias_as_hidden_unit(unbiased).layers[0].out_dim == 6
 
 
 def test_check_additive_family_affine_passes():

@@ -258,6 +258,7 @@ def test_experiment_artifacts_deterministic(tmp_path):
     {"widths": [0, 8, 16], "seeds": 2},
     {"case": "ii", "activation": "relu", "clip_range": [-2.0, 2.0],
      "widths": [4, 8], "seeds": 2},
+    {"case": "iv", "widths": [4, 8], "seeds": 2},
 ])
 def test_curve_rows_match_direct_member_errors(tmp_path, monkeypatch, overrides):
     # curve.csv takes each member error from the densities; every candidate,
@@ -266,9 +267,9 @@ def test_curve_rows_match_direct_member_errors(tmp_path, monkeypatch, overrides)
     trial = robust._trial
 
     def recording(case, cfg, f, mu, box, width, seed):
-        eta, artifact = trial(case, cfg, f, mu, box, width, seed)
+        eta = trial(case, cfg, f, mu, box, width, seed)
         candidates[(width, seed)] = (f, eta)
-        return eta, artifact
+        return eta
 
     monkeypatch.setattr(robust, "_trial", recording)
     cfg = base_config(tmp_path, epsilon=1e-9, **overrides)

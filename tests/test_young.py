@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from orlicz_uat import (DegenerateProbeError, UnboundedConjugateError,
-                        ValidationError, check_delta2, check_young_inequality,
-                        complementary, entropy, exp_minus_linear, inverse,
-                        is_n_function, power, tabulated, young_from_json,
-                        young_to_json)
+                        ValidationError, YoungFunction, check_delta2,
+                        check_young_inequality, complementary, entropy,
+                        exp_minus_linear, inverse, is_n_function, power,
+                        tabulated)
 
 
 def test_power_evaluation_closed_form():
@@ -48,14 +48,6 @@ def test_evaluate_convex_on_probe_triples():
             a, b = np.sort(rng.uniform(0.0, 10.0, size=2))
             mid = 0.5 * (a + b)
             assert phi(mid) <= 0.5 * phi(a) + 0.5 * phi(b) + 1e-12
-
-
-def test_evaluate_rejects_non_finite():
-    from orlicz_uat.young import evaluate
-    with pytest.raises(ValidationError):
-        evaluate(power(2.0), np.inf)
-    with pytest.raises(ValidationError):
-        evaluate(power(2.0), np.nan)
 
 
 def test_power_validation():
@@ -140,12 +132,28 @@ def test_numeric_conjugate_of_exp_reaches_entropy_values():
 
 
 def test_numeric_conjugate_without_derivative_path():
-    # tabulated phi has no derivative; the scan-and-maximize path is used
+    # tabulated phi has no derivative; the exact discrete transform is used
     xs = np.linspace(0.0, 50.0, 2001)
     phi = tabulated(xs[1:], 0.5 * xs[1:] ** 2)
     psi = complementary(phi, grid_spec=np.linspace(0.5, 5.0, 10), numeric=True)
     for y in (0.5, 2.0, 5.0):
         assert abs(psi(y) - 0.5 * y * y) <= 1e-3 * max(1.0, 0.5 * y * y)
+
+
+def test_tabulated_conjugate_is_exact():
+    # an optimizer off by 1.8e-9 made this table fail its own convexity check
+    g = np.linspace(0.0, 10.0, 200)
+    phi = tabulated(g, g ** 2)
+    psi = complementary(phi, grid_spec=(1e-2, 1e1, 300))
+    for y in psi.grid[1::23]:
+        assert psi(y) == float(np.max(g * y - g ** 2))
+        # the brute-force grid (step 5e-5) passes within 2.5e-5 of the best
+        # knot, where the objective's slopes differ by 20/199 at most
+        gap = psi(y) - brute_force_conjugate(phi, y, x_hi=20.0)
+        assert -1e-12 <= gap <= 2.5e-5 * 20.0 / 199.0 + 1e-12
+    # the final slope is 2 * 10 * (1 - 1/398); one ordinate above it diverges
+    with pytest.raises(UnboundedConjugateError):
+        complementary(phi, grid_spec=np.array([1.0, 19.99]))
 
 
 def test_conjugate_duality_on_catalog():
@@ -237,10 +245,10 @@ def test_inverse_round_trip():
 def test_json_round_trip():
     for phi in (power(2.0, 0.5), exp_minus_linear(), entropy(),
                 tabulated([1.0, 2.0], [1.0, 3.0])):
-        obj = young_to_json(phi)
-        back = young_from_json(obj)
+        obj = phi.to_json_dict()
+        back = YoungFunction.from_json_dict(obj)
         for x in (0.0, 0.5, 1.0, 7.0):
             assert back(x) == phi(x)
-    assert young_to_json(power(2.0, 0.5)) == {"kind": "power", "p": 2.0, "scale": 0.5}
+    assert power(2.0, 0.5).to_json_dict() == {"kind": "power", "p": 2.0, "scale": 0.5}
     with pytest.raises(ValidationError):
-        young_from_json({"kind": "power", "p": 2.0, "scale": 0.5, "bogus": 1})
+        YoungFunction.from_json_dict({"kind": "power", "p": 2.0, "scale": 0.5, "bogus": 1})
