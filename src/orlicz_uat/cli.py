@@ -18,7 +18,7 @@ from . import net as netmod
 from . import robust as robustmod
 from . import serialize
 from .box import Box
-from .errors import HypothesisViolation, OrliczError, ValidationError
+from .errors import HypothesisViolation, OrliczError, ValidationError, _parsed
 from .measure import DiscreteMeasure, MeasureFamily, make_discrete
 from .orlicz import FunctionTable, gauge_norm, holder_check
 from .young import (YoungFunction, check_young_inequality, complementary,
@@ -30,9 +30,9 @@ def parse_young_spec(spec: str):
     name = parts[0]
     if name == "power":
         if len(parts) == 2:
-            return power(float(parts[1]))
+            return power(_parsed("p", float, parts[1]))
         if len(parts) == 3:
-            return power(float(parts[1]), float(parts[2]))
+            return power(_parsed("p", float, parts[1]), _parsed("scale", float, parts[2]))
         raise ValidationError("power spec is power:P or power:P:SCALE")
     if name == "exp_minus_linear" and len(parts) == 1:
         return exp_minus_linear()
@@ -57,7 +57,7 @@ def _parse_grid(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValidationError("grid spec is LO:HI:COUNT")
-    return (float(parts[0]), float(parts[1]), int(parts[2]))
+    return _parsed("grid", lambda p: (float(p[0]), float(p[1]), int(p[2])), parts)
 
 
 def _parse_int_list(spec: str):

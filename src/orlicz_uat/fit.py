@@ -5,6 +5,14 @@ seed stream per feature, so the features for width w are a prefix of the
 features for any larger width.  Readouts solve a ridge-regularized weighted
 least-squares problem on the support of the measure.  Nothing here optimizes
 a gauge norm directly; gauge errors are evaluated after the fact.
+
+There is one fit path, ``FeatureCache``: one seed's hidden activations on
+the support and the weighted Gram matrix of the features drawn so far.  A
+width/seed schedule keeps one cache per seed and grows it, so widening draws,
+activates and weights only the new features and adds only the Gram border;
+a standalone ``fit_random_features`` call grows a fresh cache once.  Every
+width's readout comes from a Cholesky factorization of its own assembled
+system, with the intercept last.
 """
 from __future__ import annotations
 
@@ -21,6 +29,9 @@ from .orlicz import FunctionTable, gauge_norm, l1_norm
 
 _FIT_ACTS = ("relu", "sigmoid", "tanh")
 _DEFAULT_RIDGE = 1e-10
+# support points activated per block; each row's activations do not depend
+# on the blocking, which only bounds the temporaries
+_ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +54,9 @@ class TargetFunction:
         pts = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if pts.shape[1] != self.dim:
             raise ValidationError("target input dimension mismatch")
-        out = np.asarray(self.fn(pts), dtype=np.float64)
+        # non-finite output is rejected below, so numpy need not warn of it
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = np.asarray(self.fn(pts), dtype=np.float64)
         if out.ndim == 1:
             out = out.reshape(-1, 1)
         if out.shape != (pts.shape[0], self.out_dim):
@@ -127,29 +140,116 @@ def _support_box(mu: DiscreteMeasure):
     return np.min(mu.points, axis=0), np.max(mu.points, axis=0)
 
 
-def draw_features(dim: int, width: int, seed: int, lo, hi):
+def draw_features(dim: int, width: int, seed: int, lo, hi, start: int = 0):
     """Standard normal weights; each kink anchored uniformly inside [lo, hi].
 
     Feature k is drawn from child stream k of the seed, so widening the
-    draw extends it without disturbing earlier features.
+    draw extends it without disturbing earlier features.  Returns features
+    start..width-1.
     """
-    W = np.empty((width, dim))
-    b = np.empty(width)
+    W = np.empty((width - start, dim))
+    b = np.empty(width - start)
     children = np.random.SeedSequence(seed).spawn(width)
-    for k in range(width):
+    for row, k in enumerate(range(start, width)):
         rng = np.random.default_rng(children[k])
-        W[k] = rng.standard_normal(dim)
+        W[row] = rng.standard_normal(dim)
         anchor = rng.uniform(lo, hi)
-        b[k] = -float(W[k] @ anchor)
+        b[row] = -float(W[row] @ anchor)
     return W, b
+
+
+class FeatureCache:
+    """One seed's random-feature least-squares system on one support, grown in place.
+
+    Holds the design matrix on the support as one C-ordered
+    ``n x (capacity + 1)`` array: column 0 is the intercept's constant 1 and
+    column k is hidden feature k - 1.  The weighted Gram matrix and
+    right-hand sides of the columns filled so far are kept in the same
+    order.  ``values`` are the target's values on the support, evaluated
+    once by the caller.
+    """
+
+    def __init__(self, mu: DiscreteMeasure, values: np.ndarray, activation: str,
+                 seed: int, ridge: float, capacity: int):
+        self.mu, self.activation, self.seed, self.ridge = mu, activation, seed, ridge
+        self._capacity, self._width = capacity, 0
+        self._box = _support_box(mu)
+        self._weighted_values = values * mu.weights[:, None]
+        self._W = np.empty((capacity, mu.dimension))
+        self._b = np.empty(capacity)
+        self._design = np.empty((values.shape[0], capacity + 1))
+        self._design[:, 0] = 1.0
+        self._gram = np.empty((capacity + 1, capacity + 1))
+        self._rhs = np.empty((capacity + 1, values.shape[1]))
+
+    @staticmethod
+    def _slots(width: int) -> list:
+        """Columns of the system for ``width`` features: the features, then the intercept."""
+        return [*range(1, width + 1), 0]
+
+    def _grow(self, width: int):
+        w0, X, wts = self._width, self.mu.points, self.mu.weights
+        W, b = draw_features(self.mu.dimension, width, self.seed, *self._box, start=w0)
+        self._W[w0:width], self._b[w0:width] = W, b
+        new = slice(w0 + 1, width + 1)
+        for start in range(0, X.shape[0], _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            self._design[rows, new] = _apply_activation(self.activation, X[rows] @ W.T + b)
+        if w0 == 0:
+            # built from [H | 1] in one product, as a fresh fit always was,
+            # so that every one-step fit keeps its exact bits
+            slots = self._slots(width)
+            Phi = np.hstack([self._design[:, 1:width + 1], np.ones((X.shape[0], 1))])
+            self._gram[np.ix_(slots, slots)] = Phi.T @ (Phi * wts[:, None])
+            self._rhs[slots] = Phi.T @ self._weighted_values
+        else:
+            # the border, intercept row included, in one product; the upper
+            # triangle, which the factorization reads, is written last
+            border = self._design[:, :width + 1].T @ (self._design[:, new] * wts[:, None])
+            self._gram[new, :width + 1] = border.T
+            self._gram[:width + 1, new] = border
+            self._rhs[new] = self._design[:, new].T @ self._weighted_values
+        self._width = width
+
+    def fit(self, width: int) -> Network:
+        """The readout for the first ``width`` features, widening the cache if needed."""
+        if width > self._capacity:
+            raise ValidationError("width exceeds the capacity of the feature cache")
+        if width > self._width:
+            self._grow(width)
+        slots = self._slots(width)
+        G = self._gram[np.ix_(slots, slots)]
+        G[np.diag_indices_from(G)] += self.ridge
+        try:
+            cf = scipy.linalg.cho_factor(G)
+            coef = scipy.linalg.cho_solve(cf, self._rhs[slots])
+        except np.linalg.LinAlgError as exc:
+            raise FitSolverError(f"singular normal equations; set ridge > 0 ({exc})") from None
+        readout = coef[:width].T
+        bias = coef[width]
+        hidden = Layer(self._W[:width].copy(), self._b[:width].copy(), self.activation)
+        return Network((hidden, Layer(readout, bias, "none")))
+
+    def predict(self, net: Network) -> np.ndarray:
+        """Values on the support of a network ``fit`` returned, from the cached features.
+
+        This is the network's own last-layer expression applied to the
+        cached hidden activations.
+        """
+        out = net.layers[-1]
+        return self._design[:, 1:out.in_dim + 1] @ out.A.T + out.b
 
 
 def fit_random_features(f: TargetFunction, mu: DiscreteMeasure, width: int,
                         activation: str = "relu", seed: int = 0,
-                        ridge: float = _DEFAULT_RIDGE) -> Network:
+                        ridge: float = _DEFAULT_RIDGE,
+                        cache: FeatureCache | None = None) -> Network:
     """Weighted ridge least squares of f on random features over support(mu).
 
     The intercept column is always included and lands in the readout bias.
+    ``cache`` is a ``FeatureCache`` of this same problem (mu, activation,
+    seed, ridge and the values of f) to grow in place; without one a fresh
+    cache of capacity ``width`` is made.
     """
     if width < 1:
         raise ValidationError("width must be at least 1")
@@ -159,24 +259,13 @@ def fit_random_features(f: TargetFunction, mu: DiscreteMeasure, width: int,
         raise ValidationError("ridge must be finite and nonnegative")
     if f.dim != mu.dimension:
         raise ValidationError("target and measure dimensions disagree")
-    lo, hi = _support_box(mu)
-    W, b = draw_features(mu.dimension, width, seed, lo, hi)
-    X = mu.points
-    Phi = _apply_activation(activation, X @ W.T + b)
-    Phi = np.hstack([Phi, np.ones((X.shape[0], 1))])
-    Y = f.evaluate(X)
-    wts = mu.weights
-    G = Phi.T @ (Phi * wts[:, None])
-    G[np.diag_indices_from(G)] += ridge
-    rhs = Phi.T @ (Y * wts[:, None])
-    try:
-        cf = scipy.linalg.cho_factor(G)
-        coef = scipy.linalg.cho_solve(cf, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise FitSolverError(f"singular normal equations; set ridge > 0 ({exc})") from None
-    readout = coef[:width].T
-    bias = coef[width]
-    return Network((Layer(W, b, activation), Layer(readout, bias, "none")))
+    seed = _parsed("seed", _count, seed)
+    if cache is None:
+        cache = FeatureCache(mu, f.evaluate(mu.points), activation, seed, ridge, width)
+    elif (cache.mu is not mu or cache.activation != activation or cache.seed != seed
+          or cache.ridge != ridge):
+        raise ValidationError("the feature cache belongs to another fit")
+    return cache.fit(width)
 
 
 def residual_table(f: TargetFunction, eta, mu: DiscreteMeasure) -> FunctionTable:
@@ -221,15 +310,22 @@ def approximation_curve(f: TargetFunction, mu: DiscreteMeasure, phi,
                         widths, activation: str = "relu", seeds=(0, 1, 2),
                         ridge: float = _DEFAULT_RIDGE,
                         norm_choice: str = "euclidean") -> list:
-    """One row per (width, seed): gauge and L1 errors of the fitted residual."""
+    """One row per (width, seed): gauge and L1 errors of the fitted residual.
+
+    Each seed's fit grows through the widths in one ``FeatureCache``.
+    """
+    widths = [int(w) for w in widths]
+    values = f.evaluate(mu.points)
+    capacity = max([0, *widths])
+    caches = [FeatureCache(mu, values, activation, int(seed), ridge, capacity) for seed in seeds]
     rows = []
     for width in widths:
-        for seed in seeds:
-            eta = fit_random_features(f, mu, int(width), activation, int(seed), ridge)
-            resid = residual_table(f, eta, mu)
+        for cache in caches:
+            eta = fit_random_features(f, mu, width, activation, cache.seed, ridge, cache)
+            resid = FunctionTable.from_values(values - cache.predict(eta))
             g = gauge_norm(phi, mu, resid, norm_choice=norm_choice).value
             l1 = l1_norm(mu, resid, norm_choice=norm_choice)
-            rows.append(CurveRow(int(width), int(seed), g, l1))
+            rows.append(CurveRow(width, cache.seed, g, l1))
     return rows
 
 

@@ -67,10 +67,12 @@ class DiscreteMeasure:
     def from_json_dict(cls, obj: dict) -> "DiscreteMeasure":
         if not isinstance(obj, dict) or set(obj) != {"dim", "points", "weights"}:
             raise ValidationError("measure object needs exactly dim, points, weights")
-        pts = np.asarray(obj["points"], dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != int(obj["dim"]):
+        def floats(v):
+            return np.asarray(v, dtype=np.float64)
+        pts = _parsed("points", floats, obj["points"])
+        if pts.ndim != 2 or pts.shape[1] != _parsed("dim", int, obj["dim"]):
             raise ValidationError("measure points do not match the declared dim")
-        return make_discrete(pts, np.asarray(obj["weights"], dtype=np.float64))
+        return make_discrete(pts, _parsed("weights", floats, obj["weights"]))
 
 
 def make_discrete(points, weights) -> DiscreteMeasure:

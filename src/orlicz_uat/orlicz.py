@@ -8,17 +8,21 @@ support of mu, the modular at scale k > 0 is
 and the gauge norm is the infimum of k with rho(k) <= 1.  On finite supports
 the modular is continuous and strictly decreasing wherever it is positive, so
 the norm is computed by geometric bracketing followed by bisection.  For
-phi(x) = |x|**p the gauge norm coincides with the classical L^p norm.
+phi(x) = s*|x|**p the norm has the closed form (s * sum ||f||**p mu)**(1/p),
+the classical L^p norm scaled by s**(1/p) (Rao & Ren, Theory of Orlicz
+Spaces, ch. 3); it seeds a bracket of relative width tol/2 that the modular
+itself confirms, and the bisection runs only when that check fails.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketingError, ValidationError
+from .errors import BracketingError, ValidationError, _parsed
 from .measure import DiscreteMeasure
-from .young import YoungFunction
+from .young import POWER, YoungFunction
 
 _NORM_CHOICES = ("euclidean", "max")
 _HOLDER_SLACK = 1e-8
@@ -65,7 +69,7 @@ class FunctionTable:
     def from_json_dict(cls, obj: dict) -> "FunctionTable":
         if not isinstance(obj, dict) or set(obj) != {"values"}:
             raise ValidationError("table object needs exactly a values key")
-        return cls.from_values(obj["values"])
+        return cls(_parsed("values", lambda v: np.asarray(v, dtype=np.float64), obj["values"]))
 
 
 def _point_norms(f: FunctionTable, norm_choice: str) -> np.ndarray:
@@ -116,6 +120,15 @@ def gauge_norm(phi: YoungFunction, mu: DiscreteMeasure, f: FunctionTable,
     def rho(k: float) -> float:
         with np.errstate(over="ignore"):
             return float(np.sum(phi(norms / k) * weights))
+
+    if phi.kind == POWER:
+        with np.errstate(over="ignore"):
+            k = (phi.scale * float(np.sum(norms ** phi.p * weights))) ** (1.0 / phi.p)
+        k_lo, k_hi = k * (1.0 - tol / 4.0), k * (1.0 + tol / 4.0)
+        if 0.0 < k_lo and k_hi < math.inf:
+            rho_hi = rho(k_hi)
+            if rho_hi <= 1.0 < rho(k_lo):
+                return GaugeNormResult(k_hi, (k_lo, k_hi), rho_hi, 2)
 
     iterations = 1
     if rho(1.0) <= 1.0:

@@ -24,7 +24,8 @@ import numpy as np
 from . import serialize
 from .box import Box
 from .errors import HypothesisViolation, OrliczError, ValidationError, _count, _parsed
-from .fit import TargetFunction, fit_random_features, make_target, residual_table
+from .fit import (FeatureCache, TargetFunction, fit_random_features, make_target,
+                  residual_table)
 from .measure import (DiscreteMeasure, MeasureFamily, dlvp_certificate,
                       sample_empirical)
 from .net import (AffineFamily, Layer, Network, _apply_activation,
@@ -293,16 +294,20 @@ def _check_hypotheses(case: str, cfg: dict, family: MeasureFamily,
                                       "gauge norm of the weight diverged")
 
 
-def _trial(case: str, cfg: dict, f: TargetFunction, mu_dom: DiscreteMeasure,
-           box: Box, width: int, seed: int):
-    """Candidate network for one schedule entry, as evaluated and as written.
+def _trial(case: str, cfg: dict, f: TargetFunction, cache: FeatureCache,
+           box: Box, width: int):
+    """Candidate network for one schedule entry and its values on the cache's support.
 
     Width 0 is the zero network; case ii returns the clipped register-form
-    network and case iv the fit with its readout bias as a hidden unit.
+    network and case iv the fit with its readout bias as a hidden unit, and
+    those are evaluated directly.  Cases i and iii return the fit itself,
+    scored from the cached hidden features.
     """
+    mu = cache.mu
     if width == 0:
-        return zero_network(f.dim, f.out_dim)
-    g0 = fit_random_features(f, mu_dom, width, cfg["activation"], seed, cfg["ridge"])
+        eta = zero_network(f.dim, f.out_dim)
+        return eta, eta.evaluate_batch(mu.points)
+    g0 = fit_random_features(f, mu, width, cfg["activation"], cache.seed, cfg["ridge"], cache)
     if case == "ii":
         if "clip_range" in cfg:
             c_lo, c_hi = (float(v) for v in cfg["clip_range"])
@@ -313,10 +318,12 @@ def _trial(case: str, cfg: dict, f: TargetFunction, mu_dom: DiscreteMeasure,
         expected = f.dim + f.out_dim + 1
         if any(w != expected for w in reg.network.hidden_widths):
             raise OrliczError("register rewrite produced a wrong width")
-        return clip_and_localize(reg, box, cfg["delta"], c_lo, c_hi).network
-    if case == "iv":
-        return _bias_as_hidden_unit(g0)
-    return g0
+        eta = clip_and_localize(reg, box, cfg["delta"], c_lo, c_hi).network
+    elif case == "iv":
+        eta = _bias_as_hidden_unit(g0)
+    else:
+        return g0, cache.predict(g0)
+    return eta, eta.evaluate_batch(mu.points)
 
 
 def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
@@ -337,12 +344,16 @@ def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
     phi_M, psi_M, _ = associated_young_pair(family, cfg.get("psi_candidates"))
     _check_hypotheses(case, cfg, family, f, phi_M, box)
     mu_dom = family.dominating
+    values = f.evaluate(mu_dom.points)
+    capacity = max(cfg["widths"])
+    caches = [FeatureCache(mu_dom, values, cfg["activation"], seed, cfg["ridge"], capacity)
+              for seed in cfg["seeds"]]
 
-    def run_one(width: int, seed: int):
+    def run_one(width: int, cache: FeatureCache):
         # one evaluation on the dominating support gives every member's
         # error: ||f - eta||_{L1(nu)} = sum ||f - eta|| * (dnu/dmu) * mu
-        eta = _trial(case, cfg, f, mu_dom, box, width, seed)
-        resid = residual_table(f, eta, mu_dom)
+        eta, fitted = _trial(case, cfg, f, cache, box, width)
+        resid = FunctionTable.from_values(values - fitted)
         weighted = _point_norms(resid, "euclidean") * mu_dom.weights
         sup = max(float(dens @ weighted) for dens in family.densities)
         gauge = gauge_norm(phi_M, mu_dom, resid).value
@@ -354,13 +365,14 @@ def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
     best = None
     workers = _max_workers()
     for width in cfg["widths"]:
-        if workers > 1 and len(cfg["seeds"]) > 1:
+        # each task grows its own seed's cache, so no state is shared
+        if workers > 1 and len(caches) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [(seed, pool.submit(run_one, width, seed))
-                           for seed in cfg["seeds"]]
+                futures = [(cache.seed, pool.submit(run_one, width, cache))
+                           for cache in caches]
                 batch = [(seed, fut.result()) for seed, fut in futures]
         else:
-            batch = [(seed, run_one(width, seed)) for seed in cfg["seeds"]]
+            batch = [(cache.seed, run_one(width, cache)) for cache in caches]
         for seed, (eta, sup, gauge) in batch:
             rows.append((width, seed, sup, gauge))
             if best is None or sup < best[0]:
@@ -369,6 +381,7 @@ def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
                 chosen = (sup, width, seed, eta)
         if chosen is not None:
             break
+    del caches  # release the hidden features before the verification runs
     success = chosen is not None
     sup, width, seed, eta = chosen if success else best
     report = verify_robust_bound(family, phi_M, psi_M, f, eta, epsilon=epsilon)

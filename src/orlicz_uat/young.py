@@ -218,8 +218,8 @@ def _resolve_grid(grid_spec) -> np.ndarray:
         return np.geomspace(lo, hi, n)
     if isinstance(grid_spec, tuple) and len(grid_spec) == 3:
         lo, hi, n = grid_spec
-        if not (0.0 < lo < hi) or int(n) < 2:
-            raise ValidationError("grid spec needs 0 < lo < hi and n >= 2")
+        if not (0.0 < lo < hi < math.inf) or int(n) < 2:
+            raise ValidationError("grid spec needs 0 < lo < hi < inf and n >= 2")
         return np.geomspace(float(lo), float(hi), int(n))
     g = np.unique(np.asarray(grid_spec, dtype=np.float64).ravel())
     if g.size < 1 or np.any(~np.isfinite(g)) or np.any(g < 0.0):

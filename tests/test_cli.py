@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -246,12 +247,14 @@ def _key_paths(obj, prefix=()):
         yield from _key_paths(value, prefix + (key,))
 
 
-@st.composite
-def _mutated_configs(draw):
-    cfg = copy.deepcopy(_FUZZ_CONFIGS[draw(st.sampled_from(sorted(_FUZZ_CONFIGS)))])
-    for _ in range(draw(st.integers(1, 2))):
-        *parents, key = draw(st.sampled_from(list(_key_paths(cfg))))
-        node = cfg
+def _mutate(draw, obj, times):
+    obj = copy.deepcopy(obj)
+    for _ in range(times):
+        paths = list(_key_paths(obj))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        node = obj
         for step in parents:
             node = node[step]
         value = draw(st.sampled_from(_JUNK))
@@ -259,7 +262,31 @@ def _mutated_configs(draw):
             del node[key]
         else:
             node[key] = copy.deepcopy(value)
-    return cfg
+    return obj
+
+
+@st.composite
+def _mutated_configs(draw):
+    base = _FUZZ_CONFIGS[draw(st.sampled_from(sorted(_FUZZ_CONFIGS)))]
+    return _mutate(draw, base, draw(st.integers(1, 2)))
+
+
+def _cli(argv, files=()):
+    """(exit code, stderr) of one CLI call in a scratch directory.
+
+    ``files`` are (name, JSON object) pairs written there first; ``{dir}``
+    in an argument names that directory.  Warnings are errors, so a numpy
+    warning that would reach a user fails the caller.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, obj in files:
+            Path(tmp, name).write_text(json.dumps(obj))
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = dispatch([arg.replace("{dir}", tmp) for arg in argv])
+    return code, err.getvalue()
 
 
 @settings(max_examples=120, deadline=None)
@@ -267,14 +294,73 @@ def _mutated_configs(draw):
 def test_robust_config_mutations_exit_cleanly(cfg):
     # whatever a config holds, the CLI answers with an exit code and at most
     # one line on stderr, never a traceback
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp, "cfg.json")
-        path.write_text(json.dumps(cfg))
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = dispatch(["robust", "--config", str(path), "--out-dir", str(Path(tmp, "run"))])
+    code, err = _cli(["robust", "--config", "{dir}/cfg.json", "--out-dir", "{dir}/run"],
+                     [("cfg.json", cfg)])
     assert code in (0, 2, 3)
-    assert err.getvalue().count("\n") <= 1
+    assert err.count("\n") <= 1
+
+
+def test_robust_non_finite_target_exits_without_warnings():
+    cfg = dict(_FUZZ_CONFIGS["i"], target={"name": "sin_product", "dim": 1, "frequency": 1e308})
+    code, err = _cli(["robust", "--config", "{dir}/cfg.json", "--out-dir", "{dir}/run"],
+                     [("cfg.json", cfg)])
+    assert (code, err) == (2, "error: target produced non-finite values\n")
+
+
+_PHI_SPECS = ("power:2", "power:1.5:0.5", "power:x", "power:", "power:2:x", "power:0.5",
+              "power:inf", "power:nan", "power:1e400", "power:2:0", "power:2:-1", "entropy",
+              "exp_minus_linear", "entropy:1", "tabulated:{dir}/phi.json",
+              "tabulated:{dir}/absent.json", "weird", "")
+_MEASURE = {"dim": 1, "points": [[0.0], [1.0], [2.5]], "weights": [0.25, 0.5, 0.25]}
+_TABLE = {"values": [[1.0], [-3.0], [0.5]]}
+_TABULATED = {"kind": "tabulated", "grid": [0.0, 1.0, 2.0], "values": [0.0, 0.5, 2.0]}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_PHI_SPECS) | st.text(max_size=12), st.data())
+def test_norm_inputs_exit_cleanly(phi, data):
+    files = [(name, _mutate(data.draw, obj, data.draw(st.integers(0, 2))))
+             for name, obj in (("mu.json", _MEASURE), ("f.json", _TABLE),
+                               ("phi.json", _TABULATED))]
+    code, err = _cli(["norm", f"--phi={phi}", "--measure", "{dir}/mu.json",
+                      "--f", "{dir}/f.json"], files)
+    assert code in (0, 2, 3)
+    assert err.count("\n") <= 1
+
+
+_GRID_SPECS = ("a:b:c", "1:2", "0.01:100:5", "1:0.5:5", "0:1:5", "-1:1:5", "1:inf:5",
+               "nan:1:5", "0.1:1:1", "0.1:1:x", "0.1:1:3.5", "1e-300:1:4", "0.01:1e300:4", "")
+_GRID_BOUND = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(("x", "-0"))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_PHI_SPECS) | st.text(max_size=12),
+       st.sampled_from(_GRID_SPECS) | st.builds("{}:{}:{}".format, _GRID_BOUND, _GRID_BOUND,
+                                                st.integers(-2, 40)),
+       st.data())
+def test_conjugate_inputs_exit_cleanly(phi, grid, data):
+    tabulated = _mutate(data.draw, _TABULATED, data.draw(st.integers(0, 2)))
+    code, err = _cli(["conjugate", f"--phi={phi}", f"--grid={grid}"], [("phi.json", tabulated)])
+    assert code in (0, 2, 3)
+    assert err.count("\n") <= 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["norm", "--phi", "power:x", "--measure", "{dir}/mu.json", "--f", "{dir}/f.json"], "p"),
+    (["conjugate", "--phi", "power:2", "--grid", "a:b:c"], "grid"),
+    (["norm", "--phi", "power:2", "--measure", "{dir}/bad_mu.json", "--f", "{dir}/f.json"],
+     "dim"),
+    (["norm", "--phi", "power:2", "--measure", "{dir}/mu.json", "--f", "{dir}/bad_f.json"],
+     "values"),
+    (["fit", "--target", "sin_product", "--measure", "{dir}/mu.json", "--phi", "power:2",
+      "--widths", "2", "--seeds=-1"], "seed"),
+])
+def test_cli_inputs_name_the_bad_value(argv, named):
+    files = [("mu.json", _MEASURE), ("f.json", _TABLE),
+             ("bad_mu.json", dict(_MEASURE, dim="x")), ("bad_f.json", {"values": "abc"})]
+    code, err = _cli(argv, files)
+    assert code == 2
+    assert err.startswith(f"error: bad value for {named}: ") and err.count("\n") == 1, err
 
 
 _NO_MEAN = dict(_FUZZ_BASE["family"], samplers=[

@@ -1,13 +1,16 @@
 """Random-feature least squares, grid interpolants, and error curves."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orlicz_uat import (Box, FitSolverError, ValidationError, curve_csv_rows,
                         fit_grid_relu_1d, fit_random_features, from_table,
                         gauge_norm, l2_residual, make_discrete, make_target,
                         power, residual_table, sample_empirical)
-from orlicz_uat.fit import (approximation_curve, constant, draw_features,
-                            gaussian_blob, sin_product, smooth_step)
+from orlicz_uat.fit import (FeatureCache, approximation_curve, constant,
+                            draw_features, gaussian_blob, sin_product,
+                            smooth_step)
 from orlicz_uat.net import _apply_activation
 from orlicz_uat.serialize import json_text
 
@@ -109,6 +112,57 @@ def test_fit_determinism_bitwise():
     assert json_text(a.to_json_dict()) == json_text(b.to_json_dict())
 
 
+@st.composite
+def _growth_problems(draw):
+    dim = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(8, 48))
+    mu = make_discrete(rng.uniform(size=(n, dim)), rng.uniform(0.1, 1.0, size=n))
+    widths = sorted(draw(st.sets(st.integers(1, 24), min_size=2, max_size=5)))
+    return (mu, sin_product(dim), widths, draw(st.sampled_from(("relu", "sigmoid", "tanh"))),
+            draw(st.integers(0, 99)), draw(st.floats(1e-6, 1e-2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_growth_problems())
+def test_grown_fit_predicts_like_a_fresh_fit(problem):
+    mu, f, widths, act, seed, ridge = problem
+    cache = FeatureCache(mu, f.evaluate(mu.points), act, seed, ridge, widths[-1])
+    for step, width in enumerate(widths):
+        grown = fit_random_features(f, mu, width, act, seed, ridge, cache)
+        fresh = fit_random_features(f, mu, width, act, seed, ridge)
+        want = fresh.evaluate_batch(mu.points)
+        got = grown.evaluate_batch(mu.points)
+        if step == 0:
+            # the first step of a cache is a fresh fit, whatever its capacity
+            assert json_text(grown.to_json_dict()) == json_text(fresh.to_json_dict())
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        assert grown.layers[0].A.tolist() == fresh.layers[0].A.tolist()
+
+
+def test_cached_score_is_the_network_on_the_support():
+    mu = uniform_support(512, seed=3)
+    f = sin_product()
+    for act in ("relu", "sigmoid", "tanh"):
+        cache = FeatureCache(mu, f.evaluate(mu.points), act, 2, 1e-10, 64)
+        for width in (8, 16, 64, 32):
+            eta = fit_random_features(f, mu, width, act, 2, 1e-10, cache)
+            want = eta.evaluate_batch(mu.points)
+            assert np.max(np.abs(cache.predict(eta) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_feature_cache_refuses_another_fit():
+    mu = uniform_support(16, seed=2)
+    f = sin_product()
+    cache = FeatureCache(mu, f.evaluate(mu.points), "relu", 0, 1e-10, 8)
+    with pytest.raises(ValidationError):
+        fit_random_features(f, mu, 4, "relu", 1, 1e-10, cache)
+    with pytest.raises(ValidationError):
+        fit_random_features(f, uniform_support(16, seed=2), 4, "relu", 0, 1e-10, cache)
+    with pytest.raises(ValidationError):
+        fit_random_features(f, mu, 9, "relu", 0, 1e-10, cache)
+
+
 def test_fit_validation_and_singular_advice():
     mu = uniform_support(16, seed=2)
     f = sin_product()
@@ -121,6 +175,17 @@ def test_fit_validation_and_singular_advice():
     g = from_table(dup, [1.0])
     with pytest.raises(FitSolverError):
         fit_random_features(g, dup, 8, "relu", seed=0, ridge=0.0)
+    # on two points, feature 1 of seed 16 is dead and feature 0 is not: a
+    # cache grown past width 1 meets an exactly zero Cholesky pivot
+    two = make_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+    W, b = draw_features(2, 2, 16, np.zeros(2), np.ones(2))
+    h = _apply_activation("relu", two.points @ W.T + b)
+    assert h[0, 0] != h[1, 0] and not np.any(h[:, 1])
+    g = from_table(two, [1.0, 2.0])
+    cache = FeatureCache(two, g.evaluate(two.points), "relu", 16, 0.0, 2)
+    fit_random_features(g, two, 1, "relu", 16, 0.0, cache)
+    with pytest.raises(FitSolverError):
+        fit_random_features(g, two, 2, "relu", 16, 0.0, cache)
 
 
 def test_grid_interpolant_affine_exact():

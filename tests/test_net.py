@@ -13,6 +13,7 @@ from orlicz_uat import (AffineFamily, AffineMap, Box, Layer,
                         min_gadget, one_weight, quadratic_weight,
                         quadratic_weight_scalar, robust, sin_product,
                         to_register_form, zero_network)
+from orlicz_uat.fit import FeatureCache
 
 
 def relu_pair_identity():
@@ -286,8 +287,8 @@ def test_case_iv_artifact_folds_the_readout_bias():
     for act in ("sigmoid", "tanh", "relu"):
         fitted = fit_random_features(f, mu, 6, act, seed=3, ridge=1e-10)
         assert np.any(fitted.layers[1].b != 0.0)
-        art = robust._trial("iv", {"activation": act, "ridge": 1e-10}, f, mu,
-                            None, 6, 3)
+        cache = FeatureCache(mu, f.evaluate(mu.points), act, 3, 1e-10, 6)
+        art, _ = robust._trial("iv", {"activation": act, "ridge": 1e-10}, f, cache, None, 6)
         hid, out = art.layers
         assert out.b.tolist() == [0.0]
         assert hid.out_dim == 7

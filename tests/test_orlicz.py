@@ -1,6 +1,8 @@
 """Modulars, gauge norms, the generalized Hölder inequality, weighted sups."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orlicz_uat import (FunctionTable, ValidationError, complementary,
                         gauge_norm, holder_check, l1_norm, make_discrete,
@@ -92,6 +94,42 @@ def test_gauge_norm_scale_folds_into_lp():
     got = gauge_norm(power(2.0, 0.25), mu, f).value
     want = np.sqrt(0.25) * np.sqrt(5.0)
     assert abs(got - want) <= 1e-9
+
+
+def _bisected_norm(phi, mu, f, rtol=1e-13):
+    """inf{k : modular(k) <= 1} by plain bisection to a relative tolerance."""
+    hi = 1.0
+    while modular(phi, mu, f, hi) > 1.0:
+        hi *= 2.0
+    while modular(phi, mu, f, 0.5 * hi) <= 1.0:
+        hi *= 0.5
+    lo = 0.5 * hi
+    while hi - lo > rtol * hi:
+        mid = 0.5 * (lo + hi)
+        if modular(phi, mu, f, mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.floats(1.0, 4.0), scale=st.floats(0.05, 20.0), exponent=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**16))
+def test_power_gauge_closed_form_matches_bisection(p, scale, exponent, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    mu = make_discrete(rng.uniform(size=(n, 1)), rng.uniform(0.05, 1.0, size=n))
+    values = rng.uniform(-1.0, 1.0, size=(mu.support_size, 2))
+    f = FunctionTable.from_values(10.0 ** exponent * values)
+    phi = power(p, scale)
+    tol = 1e-10
+    result = gauge_norm(phi, mu, f, tol=tol)
+    k_lo, k_hi = result.bracket
+    assert result.value == k_hi
+    assert abs(result.value - _bisected_norm(phi, mu, f)) <= 1e-9 * result.value
+    assert modular(phi, mu, f, k_hi) <= 1.0 <= modular(phi, mu, f, k_lo)
+    assert k_hi - k_lo <= tol * result.value
 
 
 def test_gauge_norm_vector_norm_choices():

@@ -1,6 +1,7 @@
 """Associated Young pair, robust L1 error, bound verification, experiments."""
 import csv
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,38 @@ def test_experiment_artifacts_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("overrides", [{}, {"case": "ii", "activation": "relu"}])
+def test_artifacts_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, overrides):
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ORLICZ_UAT_THREADS", threads)
+        outs.append(tmp_path / threads)
+        run_robust_experiment(base_config(outs[-1], epsilon=1e-9, widths=[4, 8, 16],
+                                          seeds=3, **overrides))
+    for name in ("report.json", "curve.csv", "network.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_feature_caches_are_released_before_verification(tmp_path, monkeypatch):
+    caches = []
+
+    class Recorded(robust.FeatureCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(weakref.ref(self))
+
+    verify = robust.verify_robust_bound
+
+    def checked(*args, **kwargs):
+        assert caches and all(ref() is None for ref in caches)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(robust, "FeatureCache", Recorded)
+    monkeypatch.setattr(robust, "verify_robust_bound", checked)
+    run_robust_experiment(base_config(tmp_path, epsilon=1e-9))
+    assert len(caches) == 2
+
+
 @pytest.mark.parametrize("overrides", [
     {"widths": [0, 8, 16], "seeds": 2},
     {"case": "ii", "activation": "relu", "clip_range": [-2.0, 2.0],
@@ -266,10 +299,10 @@ def test_curve_rows_match_direct_member_errors(tmp_path, monkeypatch, overrides)
     candidates = {}
     trial = robust._trial
 
-    def recording(case, cfg, f, mu, box, width, seed):
-        eta = trial(case, cfg, f, mu, box, width, seed)
-        candidates[(width, seed)] = (f, eta)
-        return eta
+    def recording(case, cfg, f, cache, box, width):
+        eta, values = trial(case, cfg, f, cache, box, width)
+        candidates[(width, cache.seed)] = (f, eta)
+        return eta, values
 
     monkeypatch.setattr(robust, "_trial", recording)
     cfg = base_config(tmp_path, epsilon=1e-9, **overrides)
