@@ -292,10 +292,13 @@ def default_psi_candidates() -> list[YoungFunction]:
 def dlvp_certificate(family: MeasureFamily, psi_candidates=None) -> DlvpCertificate:
     """First candidate psi whose density gauge norms have a finite supremum.
 
+    The norms are resolved to the pipeline's gauge tolerance, so
+    ``verify_robust_bound`` may take them from the certificate.
+
     Candidates must be N-functions; cataloged kinds are checked structurally
     and power with p = 1 is refused.
     """
-    from .orlicz import FunctionTable, gauge_norm
+    from .orlicz import _GAUGE_TOL, FunctionTable, gauge_norm
 
     candidates = list(psi_candidates) if psi_candidates is not None else default_psi_candidates()
     if not candidates:
@@ -306,7 +309,8 @@ def dlvp_certificate(family: MeasureFamily, psi_candidates=None) -> DlvpCertific
             raise ValidationError(f"candidate {psi.kind} with p={psi.p} is not an N-function")
     for psi in candidates:
         norms = np.array([
-            gauge_norm(psi, family.dominating, FunctionTable.from_values(d)).value
+            gauge_norm(psi, family.dominating, FunctionTable.from_values(d),
+                       tol=_GAUGE_TOL).value
             for d in family.densities
         ])
         sup = float(np.max(norms))

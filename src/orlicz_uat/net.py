@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .box import Box
-from .errors import ValidationError
+from .errors import ValidationError, _parsed
 
 _HIDDEN_ACTS = ("relu", "sigmoid", "tanh", "identity")
 _OUTPUT_ACT = "none"
@@ -132,14 +132,16 @@ class Network:
     def from_json_dict(cls, obj: dict) -> "Network":
         if not isinstance(obj, dict) or set(obj) != {"input_dim", "layers"}:
             raise ValidationError("network object needs exactly input_dim and layers")
+        def floats(v):
+            return np.asarray(v, dtype=np.float64)
         layers = []
-        for lay in obj["layers"]:
+        for lay in _parsed("layers", list, obj["layers"]):
             if not isinstance(lay, dict) or set(lay) != {"A", "b", "act"}:
                 raise ValidationError("layer object needs exactly A, b, act")
-            layers.append(Layer(np.asarray(lay["A"], dtype=np.float64),
-                                np.asarray(lay["b"], dtype=np.float64), lay["act"]))
+            layers.append(Layer(_parsed("A", floats, lay["A"]),
+                                _parsed("b", floats, lay["b"]), lay["act"]))
         net = cls(tuple(layers))
-        if net.input_dim != int(obj["input_dim"]):
+        if net.input_dim != _parsed("input_dim", int, obj["input_dim"]):
             raise ValidationError("declared input_dim disagrees with the first layer")
         return net
 

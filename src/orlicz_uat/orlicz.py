@@ -26,6 +26,8 @@ from .young import POWER, YoungFunction
 
 _NORM_CHOICES = ("euclidean", "max")
 _HOLDER_SLACK = 1e-8
+# the relative tolerance of every gauge norm the pipeline computes
+_GAUGE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +106,7 @@ class GaugeNormResult:
 
 
 def gauge_norm(phi: YoungFunction, mu: DiscreteMeasure, f: FunctionTable,
-               tol: float = 1e-10, norm_choice: str = "euclidean") -> GaugeNormResult:
+               tol: float = _GAUGE_TOL, norm_choice: str = "euclidean") -> GaugeNormResult:
     """inf{k > 0 : modular(k) <= 1}, resolved to relative tolerance tol.
 
     Returns the upper end of the final bracket so the modular at the reported

@@ -10,6 +10,15 @@ errors, and certify the chain
 which every produced report asserts unconditionally.  Success of a run means
 the measured sup_l1 dropped below the configured epsilon; the certificate is
 reported, not used as the stopping rule.
+
+Every schedule entry is scored from its seed's cached hidden features, with
+no network evaluated: the fit's readout, clipped to [c, C] in case ii.  Only
+the chosen entry becomes an artifact.  In case ii it is rewritten into
+register form and clipped, which equals the clipped fit on the box holding
+every support point; in case iv its readout bias is folded into a hidden
+unit.  That network is evaluated once and must agree with its scores, so the
+curve describes the written network.  The verification evaluates it again,
+directly, and takes the member density norms from the certificate.
 """
 from __future__ import annotations
 
@@ -26,13 +35,14 @@ from .box import Box
 from .errors import HypothesisViolation, OrliczError, ValidationError, _count, _parsed
 from .fit import (FeatureCache, TargetFunction, fit_random_features, make_target,
                   residual_table)
-from .measure import (DiscreteMeasure, MeasureFamily, dlvp_certificate,
-                      sample_empirical)
+from .measure import (DiscreteMeasure, DlvpCertificate, MeasureFamily,
+                      dlvp_certificate, sample_empirical)
 from .net import (AffineFamily, Layer, Network, _apply_activation,
                   check_additive_family, check_weight_compatibility,
                   clip_and_localize, quadratic_weight, quadratic_weight_scalar,
                   to_register_form, zero_network)
-from .orlicz import _HOLDER_SLACK, FunctionTable, _point_norms, gauge_norm, l1_norm
+from .orlicz import (_GAUGE_TOL, _HOLDER_SLACK, FunctionTable, _point_norms, gauge_norm,
+                     l1_norm)
 from .young import YoungFunction, complementary
 
 _CASES = ("i", "ii", "iii", "iv")
@@ -68,16 +78,34 @@ def robust_error(family: MeasureFamily, f: TargetFunction, eta,
     return per, float(np.max(per))
 
 
+def _certified_density_norms(family: MeasureFamily, psi_M: YoungFunction,
+                             certificate: DlvpCertificate, gauge_tol: float) -> np.ndarray:
+    """The certificate's per-member psi_M norms, refused unless they are the ones wanted."""
+    if certificate.psi is not psi_M:
+        raise ValidationError("the certificate was made for another psi")
+    if len(certificate.per_member_norms) != family.size:
+        raise ValidationError("the certificate has a norm count other than the member count")
+    if gauge_tol != _GAUGE_TOL:
+        raise ValidationError(
+            f"the certificate's norms were resolved to {_GAUGE_TOL}, not to {gauge_tol}")
+    return certificate.per_member_norms
+
+
 def verify_robust_bound(family: MeasureFamily, phi_M: YoungFunction,
                         psi_M: YoungFunction, f: TargetFunction, eta,
                         epsilon: float = math.nan,
                         norm_choice: str = "euclidean",
-                        gauge_tol: float = 1e-10) -> RobustReport:
+                        gauge_tol: float = _GAUGE_TOL,
+                        certificate: DlvpCertificate | None = None) -> RobustReport:
     """Populate a report and hard-assert the generalized Holder chain.
 
     Also checks, per member, that the direct L1 error equals the
-    density-weighted integral against the dominating measure.
+    density-weighted integral against the dominating measure.  With the
+    ``certificate`` that chose psi_M, the member density norms are taken
+    from it rather than recomputed.
     """
+    density_norms = (None if certificate is None
+                     else _certified_density_norms(family, psi_M, certificate, gauge_tol))
     mu = family.dominating
     resid = residual_table(f, eta, mu)
     per, sup_l1 = robust_error(family, f, eta, norm_choice)
@@ -88,10 +116,10 @@ def verify_robust_bound(family: MeasureFamily, phi_M: YoungFunction,
             raise OrliczError("change-of-measure identity failed for a member")
     gauge_error = gauge_norm(phi_M, mu, resid, tol=gauge_tol,
                              norm_choice=norm_choice).value
-    density_norm_sup = max(
-        gauge_norm(psi_M, mu, FunctionTable.from_values(d), tol=gauge_tol).value
-        for d in family.densities
-    )
+    if density_norms is None:
+        density_norms = [gauge_norm(psi_M, mu, FunctionTable.from_values(d), tol=gauge_tol).value
+                         for d in family.densities]
+    density_norm_sup = float(max(density_norms))
     holder_rhs = 2.0 * gauge_error * density_norm_sup
     bound_holds = sup_l1 <= holder_rhs * (1.0 + _HOLDER_SLACK)
     if not bound_holds:
@@ -227,6 +255,10 @@ def _validate_config(config: dict) -> dict:
     if "clip_range" in cfg:
         cfg["clip_range"] = _parsed(
             "clip_range", lambda v: np.asarray(v, dtype=np.float64).reshape(2), cfg["clip_range"])
+        c_lo, c_hi = cfg["clip_range"]
+        # scoring clips with it long before the chosen fit is rewritten
+        if not (math.isfinite(c_lo) and math.isfinite(c_hi) and c_lo < c_hi):
+            raise ValidationError("clip_range must be two finite numbers c < C")
     if "psi_candidates" in cfg:
         cfg["psi_candidates"] = _parsed(
             "psi_candidates", lambda v: [YoungFunction.from_json_dict(c) for c in v],
@@ -294,36 +326,66 @@ def _check_hypotheses(case: str, cfg: dict, family: MeasureFamily,
                                       "gauge norm of the weight diverged")
 
 
-def _trial(case: str, cfg: dict, f: TargetFunction, cache: FeatureCache,
-           box: Box, width: int):
-    """Candidate network for one schedule entry and its values on the cache's support.
+def _clip_range(cfg: dict, f: TargetFunction) -> tuple:
+    """(c, C) of case ii: the configured clip_range, else the target's declared bound."""
+    if "clip_range" in cfg:
+        return tuple(float(v) for v in cfg["clip_range"])
+    return -f.bound, f.bound
 
-    Width 0 is the zero network; case ii returns the clipped register-form
-    network and case iv the fit with its readout bias as a hidden unit, and
-    those are evaluated directly.  Cases i and iii return the fit itself,
-    scored from the cached hidden features.
+
+def _trial(case: str, cfg: dict, f: TargetFunction, cache: FeatureCache, width: int):
+    """The fit for one schedule entry and its scored values on the cache's support.
+
+    Width 0 is the zero network.  Every other entry is scored from the
+    cached hidden features: cases i, iii and iv by the fit's own readout,
+    case ii by that readout clipped to the clip range, which is what the
+    clipped register network computes on the box.  Only the chosen entry is
+    rewritten, by ``_written``.
     """
     mu = cache.mu
     if width == 0:
-        eta = zero_network(f.dim, f.out_dim)
-        return eta, eta.evaluate_batch(mu.points)
-    g0 = fit_random_features(f, mu, width, cfg["activation"], cache.seed, cfg["ridge"], cache)
+        return zero_network(f.dim, f.out_dim), np.zeros((mu.support_size, f.out_dim))
+    g = fit_random_features(f, mu, width, cfg["activation"], cache.seed, cfg["ridge"], cache)
+    scored = cache.predict(g)
     if case == "ii":
-        if "clip_range" in cfg:
-            c_lo, c_hi = (float(v) for v in cfg["clip_range"])
-        else:
-            c_lo, c_hi = -f.bound, f.bound
-        K = box.enlarged(cfg["delta"])
-        reg = to_register_form(g0, K)
+        scored = np.clip(scored, *_clip_range(cfg, f))
+    return g, scored
+
+
+# The written network of case ii or iv may differ from its scored values by
+# at most this fraction of the output's range: the clip range in case ii and
+# the largest scored magnitude, at least 1, in case iv.
+_AGREEMENT_TOL = 1e-9
+
+
+def _written(case: str, cfg: dict, f: TargetFunction, box: Box, mu: DiscreteMeasure,
+             g: Network, scored) -> Network:
+    """The artifact for the chosen fit ``g``, checked against its scored values on mu.
+
+    Case ii rewrites g into register form on the delta-enlarged box and
+    clips it; that equals clip(g, c, C) on the box, which holds every
+    support point.  Case iv folds the readout bias into a hidden unit.
+    Cases i and iii, and the zero network, are written as fitted.
+    """
+    if len(g.layers) == 1 or case in ("i", "iii"):
+        return g
+    if case == "ii":
+        c_lo, c_hi = _clip_range(cfg, f)
+        reg = to_register_form(g, box.enlarged(cfg["delta"]))
         expected = f.dim + f.out_dim + 1
         if any(w != expected for w in reg.network.hidden_widths):
             raise OrliczError("register rewrite produced a wrong width")
         eta = clip_and_localize(reg, box, cfg["delta"], c_lo, c_hi).network
-    elif case == "iv":
-        eta = _bias_as_hidden_unit(g0)
+        tol = _AGREEMENT_TOL * (c_hi - c_lo)
     else:
-        return g0, cache.predict(g0)
-    return eta, eta.evaluate_batch(mu.points)
+        eta = _bias_as_hidden_unit(g)
+        tol = _AGREEMENT_TOL * max(1.0, float(np.max(np.abs(scored))))
+    gap = float(np.max(np.abs(eta.evaluate_batch(mu.points) - scored)))
+    if not gap <= tol:
+        raise OrliczError(
+            f"the written case-{case} network departs from its scored values by {gap:.3g}"
+            f" (tolerance {tol:.3g})")
+    return eta
 
 
 def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
@@ -341,7 +403,7 @@ def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
     f = make_target(cfg["target"])
     if f.dim != family.dominating.dimension:
         raise ValidationError("target and family dimensions disagree")
-    phi_M, psi_M, _ = associated_young_pair(family, cfg.get("psi_candidates"))
+    phi_M, psi_M, cert = associated_young_pair(family, cfg.get("psi_candidates"))
     _check_hypotheses(case, cfg, family, f, phi_M, box)
     mu_dom = family.dominating
     values = f.evaluate(mu_dom.points)
@@ -350,14 +412,15 @@ def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
               for seed in cfg["seeds"]]
 
     def run_one(width: int, cache: FeatureCache):
-        # one evaluation on the dominating support gives every member's
+        # the scored values on the dominating support give every member's
         # error: ||f - eta||_{L1(nu)} = sum ||f - eta|| * (dnu/dmu) * mu
-        eta, fitted = _trial(case, cfg, f, cache, box, width)
-        resid = FunctionTable.from_values(values - fitted)
+        g, scored = _trial(case, cfg, f, cache, width)
+        resid = FunctionTable.from_values(values - scored)
         weighted = _point_norms(resid, "euclidean") * mu_dom.weights
         sup = max(float(dens @ weighted) for dens in family.densities)
         gauge = gauge_norm(phi_M, mu_dom, resid).value
-        return eta, sup, gauge
+        # only cases ii and iv check the written network against its scores
+        return g, scored if case in ("ii", "iv") else None, sup, gauge
 
     epsilon = cfg["epsilon"]
     rows = []
@@ -373,18 +436,20 @@ def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
                 batch = [(seed, fut.result()) for seed, fut in futures]
         else:
             batch = [(cache.seed, run_one(width, cache)) for cache in caches]
-        for seed, (eta, sup, gauge) in batch:
+        for seed, (g, scored, sup, gauge) in batch:
             rows.append((width, seed, sup, gauge))
             if best is None or sup < best[0]:
-                best = (sup, width, seed, eta)
+                best = (sup, width, seed, g, scored)
             if chosen is None and sup < epsilon:
-                chosen = (sup, width, seed, eta)
+                chosen = (sup, width, seed, g, scored)
         if chosen is not None:
             break
     del caches  # release the hidden features before the verification runs
     success = chosen is not None
-    sup, width, seed, eta = chosen if success else best
-    report = verify_robust_bound(family, phi_M, psi_M, f, eta, epsilon=epsilon)
+    sup, width, seed, g, scored = chosen if success else best
+    eta = _written(case, cfg, f, box, mu_dom, g, scored)
+    report = verify_robust_bound(family, phi_M, psi_M, f, eta, epsilon=epsilon,
+                                 certificate=cert)
     out.mkdir(parents=True, exist_ok=True)
     paths = {"report": out / "report.json", "curve": out / "curve.csv",
              "network": out / "network.json"}

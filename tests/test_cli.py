@@ -345,6 +345,51 @@ def test_conjugate_inputs_exit_cleanly(phi, grid, data):
     assert err.count("\n") <= 1
 
 
+_NET = {"input_dim": 1,
+        "layers": [{"A": [[1.0], [-1.0]], "b": [0.0, 0.5], "act": "relu"},
+                   {"A": [[1.0, -1.0]], "b": [0.25], "act": "none"}]}
+_BOX = {"lo": [-2.0], "hi": [2.0]}
+_INNER = {"lo": [0.0], "hi": [1.0]}
+_CONSTRUCTIONS = ("identity", "max", "min", "bump", "box", "register", "clip")
+_NUMBER = st.sampled_from(("0", "1", "-1", "0.25", "3", "1e308", "-1e308", "inf", "-inf",
+                           "nan", "1e-300"))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_CONSTRUCTIONS), st.lists(st.tuples(
+    st.sampled_from(("--offset", "--a", "--b", "--delta", "--clip-low", "--clip-high")),
+    _NUMBER), max_size=4), st.data())
+def test_construct_inputs_exit_cleanly(what, numbers, data):
+    files = [(name, _mutate(data.draw, obj, data.draw(st.integers(0, 2))))
+             for name, obj in (("net.json", _NET), ("box.json", _BOX), ("inner.json", _INNER))]
+    argv = ["construct", "--what", what, "--net", "{dir}/net.json", "--box", "{dir}/box.json",
+            "--inner-box", "{dir}/inner.json", "--a", "0", "--b", "1"]
+    code, err = _cli(argv + [f"{flag}={value}" for flag, value in numbers], files)
+    assert code in (0, 2, 3)
+    assert err.count("\n") <= 1
+
+
+_FIT_MEASURE = {"dim": 1, "points": [[0.0], [0.25], [0.5], [1.0]],
+                "weights": [0.25, 0.25, 0.25, 0.25]}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(("sin_product", "gaussian_blob", "smooth_step", "constant", "weird")),
+       st.sampled_from(("1", "2", "0", "-1")),
+       st.sampled_from(("power:2", "power:1.5", "entropy", "exp_minus_linear", "power:x")),
+       st.sampled_from(("2", "2,4", "0", "-1", "a", "", "1,,3")),
+       st.sampled_from(("0", "0,1", "-1", "x", "")),
+       st.sampled_from(("relu", "sigmoid", "tanh")),
+       _NUMBER, st.data())
+def test_fit_inputs_exit_cleanly(target, dim, phi, widths, seeds, activation, ridge, data):
+    measure = _mutate(data.draw, _FIT_MEASURE, data.draw(st.integers(0, 2)))
+    code, err = _cli(["fit", "--target", target, "--dim", dim, "--measure", "{dir}/mu.json",
+                      "--phi", phi, "--widths", widths, "--seeds", seeds,
+                      "--activation", activation, f"--ridge={ridge}"], [("mu.json", measure)])
+    assert code in (0, 2, 3)
+    assert err.count("\n") <= 1
+
+
 @pytest.mark.parametrize("argv, named", [
     (["norm", "--phi", "power:x", "--measure", "{dir}/mu.json", "--f", "{dir}/f.json"], "p"),
     (["conjugate", "--phi", "power:2", "--grid", "a:b:c"], "grid"),
@@ -354,10 +399,19 @@ def test_conjugate_inputs_exit_cleanly(phi, grid, data):
      "values"),
     (["fit", "--target", "sin_product", "--measure", "{dir}/mu.json", "--phi", "power:2",
       "--widths", "2", "--seeds=-1"], "seed"),
+    (["construct", "--what", "register", "--net", "{dir}/bad_A.json", "--box", "{dir}/B.json"],
+     "A"),
+    (["construct", "--what", "register", "--net", "{dir}/bad_dim.json", "--box",
+      "{dir}/B.json"], "input_dim"),
+    (["construct", "--what", "register", "--net", "{dir}/bad_layers.json", "--box",
+      "{dir}/B.json"], "layers"),
 ])
 def test_cli_inputs_name_the_bad_value(argv, named):
+    hidden, readout = _NET["layers"]
     files = [("mu.json", _MEASURE), ("f.json", _TABLE),
-             ("bad_mu.json", dict(_MEASURE, dim="x")), ("bad_f.json", {"values": "abc"})]
+             ("bad_mu.json", dict(_MEASURE, dim="x")), ("bad_f.json", {"values": "abc"}),
+             ("B.json", _BOX), ("bad_A.json", dict(_NET, layers=[dict(hidden, A="abc"), readout])),
+             ("bad_dim.json", dict(_NET, input_dim="x")), ("bad_layers.json", dict(_NET, layers=5))]
     code, err = _cli(argv, files)
     assert code == 2
     assert err.startswith(f"error: bad value for {named}: ") and err.count("\n") == 1, err

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orlicz_uat import (AffineFamily, AffineMap, Box, Layer,
                         LinearOnlyFamily, Network, RegisterLayout,
@@ -266,6 +268,25 @@ def test_clip_and_localize_support_and_interior():
     assert float(np.max(np.abs(out_vals))) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 16), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+       st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2),
+       st.floats(0.01, 1.0), st.floats(-2.0, 1.0), st.floats(0.05, 4.0))
+def test_clipped_register_network_is_the_clip_on_the_box(n_in, n_out, m, seed, lo, extent,
+                                                         delta, c, span):
+    # the robust pipeline scores case ii as clip(g, c, C) and rewrites only
+    # the chosen fit; on J the rewrite must agree within the run's check
+    rng = np.random.default_rng(seed)
+    g = random_shallow(rng, n_in, n_out, m)
+    J = Box(np.array(lo[:n_in]), np.array(lo[:n_in]) + np.array(extent[:n_in]))
+    C = c + span
+    net = clip_and_localize(to_register_form(g, J.enlarged(delta)), J, delta, c, C).network
+    X = np.vstack([J.lo, J.hi, J.sample(rng, 64)])
+    gap = np.max(np.abs(net.evaluate_batch(X) - np.clip(g.evaluate_batch(X), c, C)))
+    assert float(gap) <= robust._AGREEMENT_TOL * (C - c)
+
+
 def test_clip_and_localize_validation():
     box = Box(np.array([-2.0]), np.array([2.0]))
     shallow = random_shallow(np.random.default_rng(0), 1, 1, 2)
@@ -288,7 +309,8 @@ def test_case_iv_artifact_folds_the_readout_bias():
         fitted = fit_random_features(f, mu, 6, act, seed=3, ridge=1e-10)
         assert np.any(fitted.layers[1].b != 0.0)
         cache = FeatureCache(mu, f.evaluate(mu.points), act, 3, 1e-10, 6)
-        art, _ = robust._trial("iv", {"activation": act, "ridge": 1e-10}, f, cache, None, 6)
+        cfg = {"activation": act, "ridge": 1e-10}
+        art = robust._written("iv", cfg, f, None, mu, *robust._trial("iv", cfg, f, cache, 6))
         hid, out = art.layers
         assert out.b.tolist() == [0.0]
         assert hid.out_dim == 7

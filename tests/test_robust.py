@@ -1,5 +1,6 @@
 """Associated Young pair, robust L1 error, bound verification, experiments."""
 import csv
+import dataclasses
 import json
 import weakref
 from pathlib import Path
@@ -7,12 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orlicz_uat import (Box, HypothesisViolation, MeasureFamily,
-                        ValidationError, associated_young_pair, build_family,
-                        constant, entropy, fit_random_features, from_table,
-                        make_discrete, power, report_json_dict, robust,
-                        robust_error, run_robust_experiment,
-                        verify_robust_bound, zero_network)
+from orlicz_uat import (Box, HypothesisViolation, Layer, MeasureFamily, Network,
+                        OrliczError, ValidationError, associated_young_pair,
+                        build_family, constant, entropy, fit_random_features,
+                        from_table, make_discrete, make_target, power,
+                        report_json_dict, robust, robust_error,
+                        run_robust_experiment, serialize, verify_robust_bound,
+                        zero_network)
+from orlicz_uat.cli import dispatch
 
 
 def singleton_family():
@@ -245,6 +248,10 @@ def test_experiment_config_validation(tmp_path):
         run_robust_experiment(base_config(tmp_path, widths=[-1]))
     with pytest.raises(ValidationError):
         run_robust_experiment(base_config(tmp_path, case="v"))
+    for clip_range in ([1.0, -1.0], [0.5, 0.5], [-1.0, float("nan")], [-1.0, float("inf")]):
+        with pytest.raises(ValidationError, match="clip_range"):
+            run_robust_experiment(base_config(tmp_path, case="ii", activation="relu",
+                                              clip_range=clip_range))
 
 
 def test_experiment_artifacts_deterministic(tmp_path):
@@ -296,18 +303,20 @@ def test_feature_caches_are_released_before_verification(tmp_path, monkeypatch):
 def test_curve_rows_match_direct_member_errors(tmp_path, monkeypatch, overrides):
     # curve.csv takes each member error from the densities; every candidate,
     # not only the verified one, must agree with the direct per-member sum
+    # of the network that would be written for it
     candidates = {}
     trial = robust._trial
+    cfg = base_config(tmp_path, epsilon=1e-9, **overrides)
+    family, box = build_family(cfg["family"])
 
-    def recording(case, cfg, f, cache, box, width):
-        eta, values = trial(case, cfg, f, cache, box, width)
+    def recording(case, cfg, f, cache, width):
+        g, scored = trial(case, cfg, f, cache, width)
+        eta = robust._written(case, cfg, f, box, cache.mu, g, scored)
         candidates[(width, cache.seed)] = (f, eta)
-        return eta, values
+        return g, scored
 
     monkeypatch.setattr(robust, "_trial", recording)
-    cfg = base_config(tmp_path, epsilon=1e-9, **overrides)
     result = run_robust_experiment(cfg)
-    family, _ = build_family(cfg["family"])
     with open(result.paths["curve"], newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == len(candidates) == len(overrides["widths"]) * 2
@@ -315,3 +324,96 @@ def test_curve_rows_match_direct_member_errors(tmp_path, monkeypatch, overrides)
         f, eta = candidates[(int(row["width"]), int(row["seed"]))]
         _, direct = robust_error(family, f, eta)
         assert float(row["sup_l1"]) == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+def test_only_the_chosen_case_ii_fit_is_rewritten(tmp_path, monkeypatch):
+    calls = {"to_register_form": 0, "clip_and_localize": 0}
+
+    def counted(name):
+        raw = getattr(robust, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return raw(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(robust, name, counted(name))
+    result = run_robust_experiment(base_config(
+        tmp_path, epsilon=1e-9, case="ii", activation="relu", widths=[4, 8], seeds=2))
+    assert len(result.rows) == 4
+    assert calls == {"to_register_form": 1, "clip_and_localize": 1}
+
+
+def _bumped(network: Network) -> Network:
+    """The same network with the first output's readout bias moved by 1e-6."""
+    *hidden, last = network.layers
+    b = last.b.copy()
+    b[0] += 1e-6
+    return Network((*hidden, Layer(last.A, b, last.act)))
+
+
+@pytest.mark.parametrize("case, name, bump", [
+    ("ii", "clip_and_localize", lambda reg: dataclasses.replace(reg, network=_bumped(reg.network))),
+    ("iv", "_bias_as_hidden_unit", _bumped),
+])
+def test_a_written_network_off_its_scores_is_refused(tmp_path, monkeypatch, capsys,
+                                                      case, name, bump):
+    raw = getattr(robust, name)
+    monkeypatch.setattr(robust, name, lambda *args: bump(raw(*args)))
+    cfg = base_config(tmp_path / "run", case=case, epsilon=1e-9, widths=[4], seeds=1,
+                      activation="relu" if case == "ii" else "sigmoid")
+    with pytest.raises(OrliczError, match=f"written case-{case} network departs"):
+        run_robust_experiment(cfg)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code = dispatch(["robust", "--config", str(tmp_path / "cfg.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: the written case-{case} network departs") and \
+        err.count("\n") == 1, err
+
+
+def _certify_like(tmp_path):
+    """A small case-iii family and fit with an entropy psi, as the certify benchmark runs."""
+    cfg = base_config(tmp_path, case="iii", epsilon=1e-9, widths=[8], seeds=1,
+                      psi_candidates=[{"kind": "entropy"}],
+                      family={"kind": "mixtures", "count": 12, "points": 96, "seed": 3,
+                              "box": {"lo": [0.0], "hi": [1.0]}},
+                      target={"name": "gaussian_blob", "dim": 1})
+    family, _ = build_family(cfg["family"])
+    f = make_target(cfg["target"])
+    eta = fit_random_features(f, family.dominating, 8, "sigmoid", seed=0)
+    return cfg, family, f, eta
+
+
+def test_verification_takes_the_density_norms_from_the_certificate(tmp_path):
+    _, family, f, eta = _certify_like(tmp_path)
+    phi_M, psi_M, cert = associated_young_pair(family, [entropy()])
+    reports = [verify_robust_bound(family, phi_M, psi_M, f, eta, certificate=c)
+               for c in (None, cert)]
+    texts = [serialize.json_text(report_json_dict(r, "network.json", "iii")) for r in reports]
+    assert texts[0] == texts[1]
+    assert reports[1].density_norm_sup == float(np.max(cert.per_member_norms))
+    for bad, kwargs in [
+        (dataclasses.replace(cert, psi=entropy()), {}),
+        (dataclasses.replace(cert, per_member_norms=cert.per_member_norms[:-1]), {}),
+        (cert, {"gauge_tol": 1e-12}),
+    ]:
+        with pytest.raises(ValidationError):
+            verify_robust_bound(family, phi_M, psi_M, f, eta, certificate=bad, **kwargs)
+
+
+def test_a_run_computes_each_density_norm_once(tmp_path, monkeypatch):
+    cfg, family, _, _ = _certify_like(tmp_path)
+    calls = []
+    gauge = robust.gauge_norm
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return gauge(*args, **kwargs)
+
+    monkeypatch.setattr(robust, "gauge_norm", counted)
+    run_robust_experiment(cfg)
+    # one for the scored candidate and one for the verified residual; the
+    # densities' norms come from the certificate
+    assert len(calls) == 2
