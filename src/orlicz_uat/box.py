@@ -16,8 +16,8 @@ class Box:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=np.float64))
         hi = np.atleast_1d(np.asarray(self.hi, dtype=np.float64))
-        if lo.ndim != 1 or hi.ndim != 1 or lo.shape != hi.shape:
-            raise ValidationError("box bounds must be 1-d arrays of equal length")
+        if lo.ndim != 1 or lo.size == 0 or lo.shape != hi.shape:
+            raise ValidationError("box bounds must be nonempty 1-d arrays of equal length")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValidationError("box bounds must be finite")
         if np.any(lo > hi):

@@ -62,9 +62,12 @@ def _parse_grid(spec: str):
 
 def _parse_int_list(spec: str):
     try:
-        return [int(tok) for tok in spec.split(",") if tok != ""]
+        values = [int(tok) for tok in spec.split(",") if tok != ""]
     except ValueError:
-        raise ValidationError(f"expected comma-separated integers, got {spec!r}") from None
+        values = []
+    if not values:
+        raise ValidationError(f"expected comma-separated integers, got {spec!r}")
+    return values
 
 
 def emit(report, format: str, path=None) -> None:

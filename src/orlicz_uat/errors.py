@@ -36,10 +36,6 @@ class AbsoluteContinuityError(OrliczError):
     """A measure charges a point that its dominating measure does not."""
 
 
-class DegenerateProbeError(OrliczError):
-    """A growth-condition probe found phi(x) = 0 at a strictly positive x."""
-
-
 class BracketingError(OrliczError):
     """Geometric bracketing exhausted its doubling/halving budget."""
 

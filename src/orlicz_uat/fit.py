@@ -1,4 +1,4 @@
-"""Candidate approximators: random-feature least squares and exact 1-d interpolation.
+"""Candidate approximators: random-feature least squares.
 
 The fitter draws hidden features deterministically from a seed, one child
 seed stream per feature, so the features for width w are a prefix of the
@@ -219,12 +219,13 @@ class FeatureCache:
             self._grow(width)
         slots = self._slots(width)
         G = self._gram[np.ix_(slots, slots)]
-        G[np.diag_indices_from(G)] += self.ridge
+        # the Gram matrix scales with the measure's mass, and so does the ridge
+        G[np.diag_indices_from(G)] += self.ridge * self.mu.total_mass
         try:
             cf = scipy.linalg.cho_factor(G)
             coef = scipy.linalg.cho_solve(cf, self._rhs[slots])
         except np.linalg.LinAlgError as exc:
-            raise FitSolverError(f"singular normal equations; set ridge > 0 ({exc})") from None
+            raise FitSolverError(f"singular normal equations ({exc})") from None
         readout = coef[:width].T
         bias = coef[width]
         hidden = Layer(self._W[:width].copy(), self._b[:width].copy(), self.activation)
@@ -247,6 +248,9 @@ def fit_random_features(f: TargetFunction, mu: DiscreteMeasure, width: int,
     """Weighted ridge least squares of f on random features over support(mu).
 
     The intercept column is always included and lands in the readout bias.
+    The ridge is relative: ``ridge * mu.total_mass`` is added to the
+    diagonal of the weighted Gram matrix, so scaling the weights moves the
+    fit only by rounding.
     ``cache`` is a ``FeatureCache`` of this same problem (mu, activation,
     seed, ridge and the values of f) to grow in place; without one a fresh
     cache of capacity ``width`` is made.
@@ -275,27 +279,6 @@ def residual_table(f: TargetFunction, eta, mu: DiscreteMeasure) -> FunctionTable
 def l2_residual(f: TargetFunction, eta, mu: DiscreteMeasure) -> float:
     r = residual_table(f, eta, mu).values
     return float(np.sqrt(np.sum(np.sum(r * r, axis=1) * mu.weights)))
-
-
-def fit_grid_relu_1d(f: TargetFunction, a: float, b: float, knots: int) -> Network:
-    """Piecewise-linear interpolant of f at equally spaced knots, as a ReLU net.
-
-    Below the first knot the interpolant continues with the constant f(a);
-    above the last knot it continues with the final segment's slope.
-    """
-    if f.dim != 1:
-        raise ValidationError("grid interpolation needs a one-dimensional target")
-    if knots < 2:
-        raise ValidationError("need at least two knots")
-    if not (a < b):
-        raise ValidationError("need a < b")
-    t = np.linspace(a, b, knots)
-    v = f.evaluate(t.reshape(-1, 1))
-    slopes = np.diff(v, axis=0) / np.diff(t)[:, None]
-    coeffs = np.vstack([slopes[:1], np.diff(slopes, axis=0)])
-    hidden = Layer(np.ones((knots - 1, 1)), -t[:-1], "relu")
-    out = Layer(coeffs.T, v[0], "none")
-    return Network((hidden, out))
 
 
 @dataclass(frozen=True)

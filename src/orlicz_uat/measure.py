@@ -91,9 +91,9 @@ def make_discrete(points, weights) -> DiscreteMeasure:
     pts, w = pts[keep], w[keep]
     if pts.shape[0] == 0:
         raise ValidationError("measure has empty support after dropping zero weights")
-    uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
+    uniq, rows = np.unique(pts, axis=0, return_inverse=True)
     merged = np.zeros(uniq.shape[0])
-    np.add.at(merged, inverse, w)
+    np.add.at(merged, rows, w)
     return DiscreteMeasure(uniq, merged)
 
 
@@ -257,25 +257,6 @@ class MeasureFamily:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def to_json_dict(self) -> dict:
-        return {"dominating": self.dominating.to_json_dict(),
-                "members": [m.to_json_dict() for m in self.members],
-                "densities": [d.tolist() for d in self.densities]}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MeasureFamily":
-        if not isinstance(obj, dict) or "members" not in obj:
-            raise ValidationError("family object needs a members list")
-        extra = set(obj) - {"members", "dominating", "densities"}
-        if extra:
-            raise ValidationError(f"unknown keys in family object: {sorted(extra)}")
-        members = [DiscreteMeasure.from_json_dict(m) for m in obj["members"]]
-        if "dominating" in obj and "densities" in obj:
-            return cls(tuple(members),
-                       DiscreteMeasure.from_json_dict(obj["dominating"]),
-                       tuple(np.asarray(d, dtype=np.float64) for d in obj["densities"]))
-        return cls.from_members(members)
 
 
 @dataclass(frozen=True)

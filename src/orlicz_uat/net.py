@@ -28,6 +28,7 @@ K, regardless of how the carried values degrade beyond the declared box.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -229,6 +230,21 @@ class RegisterLayout:
                    n_in + n_out, n_in + n_out + 1)
 
 
+def _within_double_range(build):
+    """ValidationError, not a wrong network, where interval bounds overflow.
+
+    The bounds and carry offsets grow with the weights, the box and the clip range.
+    """
+    @functools.wraps(build)
+    def guarded(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return build(*args, **kwargs)
+        except FloatingPointError:
+            raise ValidationError(f"{build.__name__} overflows double precision") from None
+    return guarded
+
+
 def _affine_bounds(row: np.ndarray, const: float, lo: np.ndarray, hi: np.ndarray):
     pos = np.maximum(row, 0.0)
     neg = np.minimum(row, 0.0)
@@ -358,6 +374,7 @@ class RegisterNetwork:
     sem_hi: np.ndarray = field(repr=False)
 
 
+@_within_double_range
 def to_register_form(shallow: Network, box: Box):
     """Rewrite a one-hidden-layer relu network at width n_in + n_out + 1.
 
@@ -405,6 +422,7 @@ def to_register_form(shallow: Network, box: Box):
     return bld.finalize()
 
 
+@_within_double_range
 def clip_and_localize(g: RegisterNetwork, J: Box, delta: float,
                       c: float, C: float) -> RegisterNetwork:
     """Append layers so each output matches clip(g_j, c, C) on J and is zero off K.
@@ -419,8 +437,8 @@ def clip_and_localize(g: RegisterNetwork, J: Box, delta: float,
         raise ValidationError("clip needs a register-form network with bookkeeping")
     if not (delta > 0.0):
         raise ValidationError("clip needs delta > 0")
-    if not (c < C):
-        raise ValidationError("clip needs c < C")
+    if not -math.inf < c < C < math.inf:
+        raise ValidationError("clip needs finite c < C")
     if J.dim != g.network.input_dim:
         raise ValidationError("clip box dimension disagrees with the network")
     K = J.enlarged(delta)
@@ -517,10 +535,6 @@ class AffineMap:
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", float(self.b))
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -637,10 +651,6 @@ def quadratic_weight(X: np.ndarray) -> np.ndarray:
 def quadratic_weight_scalar(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     return 1.0 + z * z
-
-
-def one_weight(z: np.ndarray) -> np.ndarray:
-    return np.ones_like(np.asarray(z, dtype=np.float64).reshape(-1))
 
 
 @dataclass(frozen=True)

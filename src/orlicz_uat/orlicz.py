@@ -110,8 +110,11 @@ def gauge_norm(phi: YoungFunction, mu: DiscreteMeasure, f: FunctionTable,
     """inf{k > 0 : modular(k) <= 1}, resolved to relative tolerance tol.
 
     Returns the upper end of the final bracket so the modular at the reported
-    value never exceeds one.  The zero table has norm exactly zero.
+    value never exceeds one.  The zero table has norm exactly zero.  tol must
+    lie in (0, 1); below about 1e-16 the bisection stops at adjacent doubles.
     """
+    if not 0.0 < tol < 1.0:
+        raise ValidationError(f"gauge tolerance must lie in (0, 1), got {tol!r}")
     _check_alignment(mu, f)
     norms = _point_norms(f, norm_choice)
     if not np.any(norms > 0.0):
@@ -153,6 +156,8 @@ def gauge_norm(phi: YoungFunction, mu: DiscreteMeasure, f: FunctionTable,
                 raise BracketingError("gauge norm bracketing ran out of doubling steps")
     while k_hi - k_lo > tol * max(1.0, k_hi):
         mid = 0.5 * (k_lo + k_hi)
+        if not k_lo < mid < k_hi:
+            break
         iterations += 1
         if rho(mid) <= 1.0:
             k_hi = mid
@@ -190,19 +195,3 @@ def holder_check(phi: YoungFunction, psi: YoungFunction, mu: DiscreteMeasure,
     ng = gauge_norm(psi, mu, g, norm_choice=norm_choice).value
     rhs = 2.0 * nf * ng
     return HolderReport(lhs, rhs, lhs <= rhs * (1.0 + _HOLDER_SLACK), nf, ng)
-
-
-def weighted_sup_norm(weight_fn, sample_points, f: FunctionTable,
-                      norm_choice: str = "euclidean") -> float:
-    """max over the sample of ||f(x)|| / w(x) for a strictly positive weight."""
-    pts = np.asarray(sample_points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.shape[0] != f.length:
-        raise ValidationError("table length must match the number of sample points")
-    w = np.asarray(weight_fn(pts), dtype=np.float64).ravel()
-    if w.shape[0] != pts.shape[0]:
-        raise ValidationError("weight function must return one value per point")
-    if np.any(w <= 0.0) or np.any(~np.isfinite(w)):
-        raise ValidationError("weight must be finite and strictly positive")
-    return float(np.max(_point_norms(f, norm_choice) / w))

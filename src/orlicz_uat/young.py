@@ -25,17 +25,11 @@ that jump to infinity raise UnboundedConjugateError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BracketingError,
-    DegenerateProbeError,
-    UnboundedConjugateError,
-    ValidationError,
-    _parsed,
-)
+from .errors import UnboundedConjugateError, ValidationError, _parsed
 
 POWER = "power"
 EXP_MINUS_LINEAR = "exp_minus_linear"
@@ -304,96 +298,3 @@ def check_young_inequality(phi: YoungFunction, psi: YoungFunction,
     witnesses = tuple((float(xs[i]), float(ys[i]), float(gap[i]))
                       for i in worst if gap[i] > 0.0)
     return YoungInequalityReport(max(0.0, float(np.max(gap))), witnesses, sample_count)
-
-
-@dataclass(frozen=True)
-class NFunctionVerdict:
-    is_n_function: bool
-    limit0_estimate: float
-    limitinf_estimate: float
-    probes: np.ndarray = field(repr=False)
-
-
-def is_n_function(phi: YoungFunction, probe_grid=None, tol0: float = 1e-4,
-                  big_threshold: float = 1e4) -> NFunctionVerdict:
-    """Numeric proxy for the N-function conditions.
-
-    The verdict samples phi(x)/x at the ends of the probe grid and demands a
-    strictly positive phi on the grid.  Functions whose superlinear growth is
-    too slow to clear big_threshold at representable probes (entropy is the
-    canonical example) are refused by this proxy even though the mathematical
-    limit is infinite.
-    """
-    if probe_grid is None:
-        probe_grid = np.geomspace(1e-8, 1e8, 129)
-    probes = np.asarray(probe_grid, dtype=np.float64)
-    if probes.size < 2 or np.any(probes <= 0.0) or np.any(np.diff(probes) <= 0.0):
-        raise ValidationError("probe grid must be strictly increasing and positive")
-    vals = phi(probes)
-    ratios = vals / probes
-    limit0 = float(ratios[0])
-    limitinf = float(ratios[-1])
-    positive = bool(np.all(vals > 0.0))
-    verdict = positive and limit0 <= tol0 and limitinf >= big_threshold
-    return NFunctionVerdict(verdict, limit0, limitinf, probes)
-
-
-@dataclass(frozen=True)
-class Delta2Report:
-    holds: bool
-    K_estimate: float
-    grid: np.ndarray = field(repr=False)
-    ratios: np.ndarray = field(repr=False)
-
-
-def check_delta2(phi: YoungFunction, x0: float = 1.0, probe_grid=None,
-                 cap: float = 1e6, growth_tol: float = 1e-2) -> Delta2Report:
-    """Probe the doubling condition phi(2x) <= K * phi(x) for x >= x0.
-
-    K_estimate is the largest sampled ratio.  The condition is declared to
-    hold when that estimate stays below cap and the ratio sequence is not
-    still growing at the top of the grid.
-    """
-    if probe_grid is None:
-        probe_grid = np.geomspace(max(x0, 1e-6), max(50.0, 10.0 * x0), 48)
-    grid = np.asarray(probe_grid, dtype=np.float64)
-    if grid.size < 3 or np.any(np.diff(grid) <= 0.0):
-        raise ValidationError("probe grid must be strictly increasing with >= 3 points")
-    if grid[0] < x0:
-        raise ValidationError("probe grid must lie in [x0, inf)")
-    base = phi(grid)
-    if np.any(base == 0.0):
-        raise DegenerateProbeError("phi vanishes at a probe with x >= x0")
-    ratios = phi(2.0 * grid) / base
-    k_est = float(np.max(ratios))
-    settled = bool(ratios[-1] <= ratios[-2] * (1.0 + growth_tol))
-    return Delta2Report(k_est <= cap and settled, k_est, grid, ratios)
-
-
-def inverse(phi: YoungFunction, y: float, tol: float = 1e-10) -> float:
-    """Nonnegative x with |phi(x) - y| <= tol * max(1, y), by bisection."""
-    y = float(y)
-    if not math.isfinite(y) or y < 0.0:
-        raise ValidationError("inverse needs finite y >= 0")
-    if y == 0.0:
-        return 0.0
-    target = tol * max(1.0, y)
-    hi = 1.0
-    steps = 0
-    while float(phi(hi)) < y:
-        hi *= 2.0
-        steps += 1
-        if steps > _BRACKET_BUDGET:
-            raise BracketingError("inverse bracketing exhausted its doubling budget")
-    lo = 0.0
-    x = hi
-    for _ in range(500):
-        x = 0.5 * (lo + hi)
-        fx = float(phi(x))
-        if abs(fx - y) <= target:
-            return x
-        if fx < y:
-            lo = x
-        else:
-            hi = x
-    return x

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orlicz_uat.cli import dispatch, parse_young_spec
@@ -314,18 +314,34 @@ _PHI_SPECS = ("power:2", "power:1.5:0.5", "power:x", "power:", "power:2:x", "pow
 _MEASURE = {"dim": 1, "points": [[0.0], [1.0], [2.5]], "weights": [0.25, 0.5, 0.25]}
 _TABLE = {"values": [[1.0], [-3.0], [0.5]]}
 _TABULATED = {"kind": "tabulated", "grid": [0.0, 1.0, 2.0], "values": [0.0, 0.5, 2.0]}
+_NUMBER = st.sampled_from(("0", "1", "-1", "0.25", "3", "1e308", "-1e308", "inf", "-inf",
+                           "nan", "1e-300"))
+
+
+@st.composite
+def _mutated(draw, obj):
+    return _mutate(draw, obj, draw(st.integers(0, 2)))
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from(_PHI_SPECS) | st.text(max_size=12), st.data())
-def test_norm_inputs_exit_cleanly(phi, data):
-    files = [(name, _mutate(data.draw, obj, data.draw(st.integers(0, 2))))
-             for name, obj in (("mu.json", _MEASURE), ("f.json", _TABLE),
-                               ("phi.json", _TABULATED))]
+@given(st.sampled_from(_PHI_SPECS) | st.text(max_size=12), _NUMBER,
+       _mutated(_MEASURE), _mutated(_TABLE), _mutated(_TABULATED))
+def test_norm_inputs_exit_cleanly(phi, tol, measure, table, tabulated):
+    files = [("mu.json", measure), ("f.json", table), ("phi.json", tabulated)]
     code, err = _cli(["norm", f"--phi={phi}", "--measure", "{dir}/mu.json",
-                      "--f", "{dir}/f.json"], files)
+                      "--f", "{dir}/f.json", f"--tol={tol}"], files)
     assert code in (0, 2, 3)
     assert err.count("\n") <= 1
+
+
+@pytest.mark.parametrize("tol, code", [("0", 2), ("-1", 2), ("nan", 2), ("inf", 2),
+                                       ("1e-17", 0)])
+def test_norm_tolerance_range(tol, code):
+    got, err = _cli(["norm", "--phi=power:3", "--measure", "{dir}/mu.json",
+                     "--f", "{dir}/f.json", f"--tol={tol}"],
+                    [("mu.json", _MEASURE), ("f.json", _TABLE)])
+    assert got == code
+    assert err.count("\n") == (code != 0)
 
 
 _GRID_SPECS = ("a:b:c", "1:2", "0.01:100:5", "1:0.5:5", "0:1:5", "-1:1:5", "1:inf:5",
@@ -351,22 +367,28 @@ _NET = {"input_dim": 1,
 _BOX = {"lo": [-2.0], "hi": [2.0]}
 _INNER = {"lo": [0.0], "hi": [1.0]}
 _CONSTRUCTIONS = ("identity", "max", "min", "bump", "box", "register", "clip")
-_NUMBER = st.sampled_from(("0", "1", "-1", "0.25", "3", "1e308", "-1e308", "inf", "-inf",
-                           "nan", "1e-300"))
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(_CONSTRUCTIONS), st.lists(st.tuples(
     st.sampled_from(("--offset", "--a", "--b", "--delta", "--clip-low", "--clip-high")),
-    _NUMBER), max_size=4), st.data())
-def test_construct_inputs_exit_cleanly(what, numbers, data):
-    files = [(name, _mutate(data.draw, obj, data.draw(st.integers(0, 2))))
-             for name, obj in (("net.json", _NET), ("box.json", _BOX), ("inner.json", _INNER))]
+    _NUMBER), max_size=4), _mutated(_NET), _mutated(_BOX), _mutated(_INNER))
+@example("clip", [("--clip-low", "-1e308")], _NET, _BOX, _INNER)
+def test_construct_inputs_exit_cleanly(what, numbers, net, box, inner):
+    files = [("net.json", net), ("box.json", box), ("inner.json", inner)]
     argv = ["construct", "--what", what, "--net", "{dir}/net.json", "--box", "{dir}/box.json",
             "--inner-box", "{dir}/inner.json", "--a", "0", "--b", "1"]
     code, err = _cli(argv + [f"{flag}={value}" for flag, value in numbers], files)
     assert code in (0, 2, 3)
     assert err.count("\n") <= 1
+
+
+@pytest.mark.parametrize("bound", ["--clip-low=-1e308", "--clip-high=1e308", "--clip-low=-inf"])
+def test_construct_clip_refuses_a_bound_past_the_double_range(bound):
+    code, err = _cli(["construct", "--what", "clip", "--net", "{dir}/net.json", "--box",
+                      "{dir}/box.json", "--inner-box", "{dir}/inner.json", bound],
+                     [("net.json", _NET), ("box.json", _BOX), ("inner.json", _INNER)])
+    assert code == 2 and err.count("\n") == 1, err
 
 
 _FIT_MEASURE = {"dim": 1, "points": [[0.0], [0.25], [0.5], [1.0]],
@@ -388,6 +410,13 @@ def test_fit_inputs_exit_cleanly(target, dim, phi, widths, seeds, activation, ri
                       "--activation", activation, f"--ridge={ridge}"], [("mu.json", measure)])
     assert code in (0, 2, 3)
     assert err.count("\n") <= 1
+
+
+@pytest.mark.parametrize("flag", ["--widths=", "--seeds="])
+def test_fit_refuses_an_empty_list(flag):
+    code, err = _cli(["fit", "--target", "sin_product", "--measure", "{dir}/mu.json",
+                      "--phi", "power:2", flag], [("mu.json", _FIT_MEASURE)])
+    assert code == 2 and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -1,13 +1,13 @@
-"""Random-feature least squares, grid interpolants, and error curves."""
+"""Random-feature least squares and error curves."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orlicz_uat import (Box, FitSolverError, ValidationError, curve_csv_rows,
-                        fit_grid_relu_1d, fit_random_features, from_table,
-                        gauge_norm, l2_residual, make_discrete, make_target,
-                        power, residual_table, sample_empirical)
+                        fit_random_features, from_table, gauge_norm,
+                        l2_residual, make_discrete, make_target, power,
+                        residual_table, sample_empirical)
 from orlicz_uat.fit import (FeatureCache, approximation_curve, constant,
                             draw_features, gaussian_blob, sin_product,
                             smooth_step)
@@ -188,40 +188,28 @@ def test_fit_validation_and_singular_advice():
         fit_random_features(g, two, 2, "relu", 16, 0.0, cache)
 
 
-def test_grid_interpolant_affine_exact():
-    from orlicz_uat.fit import TargetFunction
-    target = TargetFunction("affine", 1, 1, lambda X: (2.0 * X[:, 0] - 1.0).reshape(-1, 1))
-    net = fit_grid_relu_1d(target, 0.0, 1.0, 5)
-    xs = np.linspace(0.0, 1.0, 1001).reshape(-1, 1)
-    want = 2.0 * xs[:, 0] - 1.0
-    got = net.evaluate_batch(xs)[:, 0]
-    assert float(np.max(np.abs(want - got))) <= 1e-12
+def test_ridge_is_relative_to_the_total_mass():
+    # eight sigmoid features on three points are nearly collinear; an
+    # absolute ridge vanished beside a Gram matrix of mass 1e6
+    pts = np.array([[0.0], [0.5], [1.0]])
+    f = gaussian_blob()
+    light, heavy = (fit_random_features(f, make_discrete(pts, [0.2 * m, 0.3 * m, 0.5 * m]),
+                                        8, "sigmoid", seed=0) for m in (1.0, 1e6))
+    assert np.max(np.abs(light.evaluate_batch(pts) - heavy.evaluate_batch(pts))) <= 1e-9
 
 
-def test_grid_interpolant_kink_match():
-    from orlicz_uat.fit import TargetFunction
-    target = TargetFunction("vee", 1, 1,
-                            lambda X: np.abs(X[:, 0] - 0.5).reshape(-1, 1))
-    net = fit_grid_relu_1d(target, 0.0, 1.0, 3)
-    xs = np.linspace(0.0, 1.0, 1001).reshape(-1, 1)
-    got = net.evaluate_batch(xs)[:, 0]
-    assert float(np.max(np.abs(got - np.abs(xs[:, 0] - 0.5)))) <= 1e-12
-
-
-def test_grid_interpolant_exact_at_knots_and_converges():
-    from orlicz_uat.fit import TargetFunction
-    target = TargetFunction("square", 1, 1, lambda X: (X[:, 0] ** 2).reshape(-1, 1))
-    xs = np.linspace(0.0, 1.0, 1000).reshape(-1, 1)
-    errs = []
-    for knots in (2, 17):
-        net = fit_grid_relu_1d(target, 0.0, 1.0, knots)
-        knot_x = np.linspace(0.0, 1.0, knots).reshape(-1, 1)
-        knot_err = np.max(np.abs(net.evaluate_batch(knot_x)[:, 0] - knot_x[:, 0] ** 2))
-        assert float(knot_err) <= 1e-12
-        errs.append(float(np.max(np.abs(net.evaluate_batch(xs)[:, 0] - xs[:, 0] ** 2))))
-    assert errs[1] < errs[0]
-    with pytest.raises(ValidationError):
-        fit_grid_relu_1d(target, 0.0, 1.0, 1)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 64), width=st.integers(4, 64),
+       activation=st.sampled_from(("relu", "sigmoid", "tanh")), c=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**16))
+def test_scaling_the_weights_keeps_the_fit(n, width, activation, c, seed):
+    rng = np.random.default_rng(seed)
+    pts, w = rng.uniform(size=(n, 2)), rng.uniform(0.1, 1.0, n)
+    f = gaussian_blob(2)
+    fits = [fit_random_features(f, make_discrete(pts, scale * w), width, activation, seed)
+            for scale in (1.0, c)]
+    a, b = (net.evaluate_batch(pts) for net in fits)
+    assert np.max(np.abs(a - b)) <= 1e-5
 
 
 def test_curve_single_width_single_seed():

@@ -12,7 +12,7 @@ from orlicz_uat import (AffineFamily, AffineMap, Box, Layer,
                         check_additive_family, check_weight_compatibility,
                         clip_and_localize, fit_random_features,
                         identity_gadget, make_discrete, max_gadget,
-                        min_gadget, one_weight, quadratic_weight,
+                        min_gadget, quadratic_weight,
                         quadratic_weight_scalar, robust, sin_product,
                         to_register_form, zero_network)
 from orlicz_uat.fit import FeatureCache
@@ -365,7 +365,7 @@ def test_weight_compatibility_constant_w1():
     family = AffineFamily(1)
     members = [family.sample_member(rng) for _ in range(4)]
     probes = np.linspace(-50.0, 50.0, 41).reshape(-1, 1)
-    report = check_weight_compatibility(members, quadratic_weight, one_weight, probes)
+    report = check_weight_compatibility(members, quadratic_weight, np.ones_like, probes)
     assert report.sup_ratio <= 1.0
 
 
@@ -378,7 +378,7 @@ def test_weight_compatibility_decaying_weight_fails():
     def decaying(X):
         return np.exp(-np.sqrt(np.sum(X * X, axis=1)))
 
-    report = check_weight_compatibility(members, decaying, one_weight, probes)
+    report = check_weight_compatibility(members, decaying, np.ones_like, probes)
     assert not report.admissible_weight
 
 
@@ -390,4 +390,4 @@ def test_weight_compatibility_rejects_nonpositive_weight():
         return X[:, 0]
 
     with pytest.raises(ValidationError):
-        check_weight_compatibility(members, signed, one_weight, probes)
+        check_weight_compatibility(members, signed, np.ones_like, probes)

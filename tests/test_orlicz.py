@@ -1,12 +1,12 @@
-"""Modulars, gauge norms, the generalized Hölder inequality, weighted sups."""
+"""Modulars, gauge norms and the generalized Hölder inequality."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orlicz_uat import (FunctionTable, ValidationError, complementary,
+from orlicz_uat import (FunctionTable, ValidationError, complementary, entropy,
                         gauge_norm, holder_check, l1_norm, make_discrete,
-                        modular, power, weighted_sup_norm)
+                        modular, power)
 
 
 def two_point_setup():
@@ -72,6 +72,23 @@ def test_gauge_norm_zero_table():
     zero = FunctionTable.from_values([0.0, 0.0])
     result = gauge_norm(power(2.0), mu, zero)
     assert result.value == 0.0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, np.nan, np.inf])
+def test_gauge_norm_refuses_a_tolerance_outside_the_unit_interval(tol):
+    mu, f = two_point_setup()
+    with pytest.raises(ValidationError):
+        gauge_norm(power(2.0), mu, f, tol=tol)
+
+
+def test_gauge_norm_below_double_resolution_stops_at_adjacent_doubles():
+    # a tolerance finer than the spacing of doubles used to bisect forever
+    mu, f = two_point_setup()
+    for phi in (power(2.0), power(3.0, 0.5)):
+        want = (phi.scale * np.sum(np.abs(f.values[:, 0]) ** phi.p * mu.weights)) ** (1 / phi.p)
+        assert abs(gauge_norm(phi, mu, f, tol=1e-17).value - want) <= 1e-15 * want
+    result = gauge_norm(entropy(), mu, f, tol=1e-17)
+    assert result.modular_at_value <= 1.0 < modular(entropy(), mu, f, result.bracket[0])
 
 
 def test_gauge_norm_lp_consistency():
@@ -229,24 +246,6 @@ def test_holder_random_sweep():
         g = FunctionTable.from_values(rng.standard_normal(n) * 4.0)
         report = holder_check(phi, psi, mu, f, g)
         assert report.holds, (report.lhs, report.rhs)
-
-
-def test_weighted_sup_norm_oracles():
-    pts = np.linspace(-2.0, 2.0, 9).reshape(-1, 1)
-    w = 1.0 + np.sum(pts * pts, axis=1)
-    ones = FunctionTable.from_values(np.ones(9))
-    assert weighted_sup_norm(lambda X: 1.0 + np.sum(X * X, axis=1), pts, ones) == 1.0
-    zero = FunctionTable.from_values(np.zeros(9))
-    assert weighted_sup_norm(lambda X: 1.0 + np.sum(X * X, axis=1), pts, zero) == 0.0
-    table_w = FunctionTable.from_values(w)
-    assert abs(weighted_sup_norm(lambda X: 1.0 + np.sum(X * X, axis=1), pts, table_w) - 1.0) <= 1e-15
-
-
-def test_weighted_sup_norm_rejects_bad_weight():
-    pts = np.array([[0.0]])
-    ones = FunctionTable.from_values([1.0])
-    with pytest.raises(ValidationError):
-        weighted_sup_norm(lambda X: np.zeros(X.shape[0]), pts, ones)
 
 
 def test_compact_table_density_sanity():

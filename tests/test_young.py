@@ -1,4 +1,4 @@
-"""Young-function algebra: evaluation, conjugates, inequalities, growth checks.
+"""Young-function algebra: evaluation, conjugates and inequalities.
 
 Oracle values are computed independently (closed forms or brute-force
 maximization) and frozen as literals where they are exact.
@@ -6,11 +6,9 @@ maximization) and frozen as literals where they are exact.
 import numpy as np
 import pytest
 
-from orlicz_uat import (DegenerateProbeError, UnboundedConjugateError,
-                        ValidationError, YoungFunction, check_delta2,
-                        check_young_inequality, complementary, entropy,
-                        exp_minus_linear, inverse, is_n_function, power,
-                        tabulated)
+from orlicz_uat import (UnboundedConjugateError, ValidationError,
+                        YoungFunction, check_young_inequality, complementary,
+                        entropy, exp_minus_linear, power, tabulated)
 
 
 def test_power_evaluation_closed_form():
@@ -186,60 +184,6 @@ def test_young_inequality_reports_violation_for_wrong_pair():
                                     sample_count=2000, seed=0)
     assert report.max_violation > 0.1
     assert len(report.witnesses) > 0
-
-
-def test_is_n_function_verdicts():
-    assert is_n_function(power(2.0)).is_n_function
-    assert is_n_function(exp_minus_linear()).is_n_function
-    verdict = is_n_function(power(1.0))
-    assert not verdict.is_n_function
-    assert abs(verdict.limit0_estimate - 1.0) < 1e-12
-    # slow superlinear growth needs a wider probe grid to clear the threshold
-    slow = power(1.5, 0.3)
-    assert not is_n_function(slow).is_n_function
-    wide = np.geomspace(1e-8, 1e12, 161)
-    assert is_n_function(slow, probe_grid=wide).is_n_function
-
-
-def test_delta2_power_oracle():
-    for p in (1.5, 2.0, 3.0):
-        report = check_delta2(power(p))
-        assert report.holds
-        assert abs(report.K_estimate - 2.0 ** p) < 1e-9
-
-
-def test_delta2_exp_fails_entropy_holds():
-    assert not check_delta2(exp_minus_linear()).holds
-    report = check_delta2(entropy())
-    assert report.holds
-    # ratio at the left end x0=1 is (3 ln 3 - 2)/(2 ln 2 - 1)
-    want = (3.0 * np.log(3.0) - 2.0) / (2.0 * np.log(2.0) - 1.0)
-    assert abs(report.K_estimate - want) < 1e-9
-
-
-def test_delta2_degenerate_probe():
-    grid = np.array([0.5, 1.0, 2.0])
-    vals = np.array([0.0, 0.0, 1.0])
-    flat = tabulated(grid, vals)
-    with pytest.raises(DegenerateProbeError):
-        check_delta2(flat, x0=0.25)
-
-
-def test_inverse_oracles():
-    assert abs(inverse(power(2.0), 4.0) - 2.0) <= 1e-9
-    assert inverse(power(3.0), 0.0) == 0.0
-    assert abs(inverse(entropy(), 1.0) - (np.e - 1.0)) <= 1e-9
-    with pytest.raises(ValidationError):
-        inverse(power(2.0), -1.0)
-
-
-def test_inverse_round_trip():
-    rng = np.random.default_rng(7)
-    for phi in (power(1.5), power(2.0, 0.5), power(3.0), entropy(),
-                exp_minus_linear()):
-        for y in rng.uniform(0.0, 1000.0, size=25):
-            x = inverse(phi, float(y))
-            assert abs(phi(x) - y) <= 1e-10 * max(1.0, y)
 
 
 def test_json_round_trip():
