@@ -1,4 +1,4 @@
-"""Batch entry point: norm | conjugate | construct | fit | robust | selftest.
+"""Batch entry point: norm | conjugate | construct | fit | robust.
 
 Every subcommand is deterministic: fixed seeds and inputs produce identical
 bytes.  Exit codes: 0 success, 2 malformed input or validation failure,
@@ -11,18 +11,15 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import fit as fitmod
 from . import net as netmod
 from . import robust as robustmod
 from . import serialize
 from .box import Box
 from .errors import HypothesisViolation, OrliczError, ValidationError, _parsed
-from .measure import DiscreteMeasure, MeasureFamily, make_discrete
-from .orlicz import FunctionTable, gauge_norm, holder_check
-from .young import (YoungFunction, check_young_inequality, complementary,
-                    entropy, exp_minus_linear, power)
+from .measure import DiscreteMeasure
+from .orlicz import FunctionTable, gauge_norm
+from .young import YoungFunction, complementary, entropy, exp_minus_linear, power
 
 
 def parse_young_spec(spec: str):
@@ -172,104 +169,6 @@ def _cmd_robust(args) -> int:
     return 0
 
 
-def _selftest_checks():
-    rng = np.random.default_rng(12345)
-
-    def lebesgue_consistency():
-        for p in (1.0, 1.5, 2.0, 3.0):
-            pts = rng.uniform(-2.0, 2.0, size=(40, 2))
-            w = rng.uniform(0.1, 1.0, size=40)
-            mu = make_discrete(pts, w)
-            vals = rng.standard_normal((mu.support_size, 1))
-            table = FunctionTable.from_values(vals)
-            got = gauge_norm(power(p), mu, table).value
-            want = float(np.sum(np.abs(vals[:, 0]) ** p * mu.weights) ** (1.0 / p))
-            assert abs(got - want) <= 1e-8 * max(1.0, want)
-
-    def young_inequality():
-        for phi in (power(2.0, 0.5), power(3.0), exp_minus_linear()):
-            psi = complementary(phi)
-            rep = check_young_inequality(phi, psi, sample_count=2000, seed=7)
-            assert rep.max_violation <= 1e-10
-
-    def conjugate_spot():
-        val = entropy()(np.e - 1.0)
-        assert abs(val - 1.0) <= 1e-12
-        grid = np.linspace(0.1, 10.0, 64)
-        psi = complementary(power(2.0, 0.5), grid_spec=grid, numeric=True)
-        want = 0.5 * grid * grid
-        got = np.array([psi(y) for y in grid])
-        assert np.max(np.abs(got - want) / np.maximum(want, 1e-12)) <= 1e-6
-
-    def gadget_exactness():
-        pairs = rng.uniform(-50.0, 50.0, size=(10000, 2))
-        mx = netmod.max_gadget().evaluate_batch(pairs)[:, 0]
-        mn = netmod.min_gadget().evaluate_batch(pairs)[:, 0]
-        assert np.max(np.abs(mx - np.max(pairs, axis=1))) <= 1e-12
-        assert np.max(np.abs(mn - np.min(pairs, axis=1))) <= 1e-12
-        xs = rng.uniform(-9.5, 50.0, size=(2000, 1))
-        ident = netmod.identity_gadget(10.0).evaluate_batch(xs)[:, 0]
-        assert np.max(np.abs(ident - xs[:, 0])) <= 1e-12
-
-    def register_agreement():
-        shallow = netmod.Network((
-            netmod.Layer(rng.standard_normal((6, 2)), rng.standard_normal(6), "relu"),
-            netmod.Layer(rng.standard_normal((1, 6)), rng.standard_normal(1), "none")))
-        box = Box([-1.0, -1.0], [1.0, 1.0])
-        reg = netmod.to_register_form(shallow, box)
-        pts = box.sample(rng, 200)
-        diff = reg.network.evaluate_batch(pts) - shallow.evaluate_batch(pts)
-        assert np.max(np.abs(diff)) <= 1e-9
-        assert set(reg.network.hidden_widths) == {4}
-
-    def holder_sweep():
-        phi = power(2.0, 0.5)
-        psi = complementary(phi)
-        for _ in range(100):
-            pts = rng.uniform(0.0, 1.0, size=(20, 1))
-            w = rng.uniform(0.1, 1.0, size=20)
-            mu = make_discrete(pts, w)
-            n = mu.support_size
-            f = FunctionTable.from_values(rng.standard_normal((n, 1)))
-            g = FunctionTable.from_values(rng.standard_normal((n, 1)))
-            assert holder_check(phi, psi, mu, f, g).holds
-
-    def equality_witness():
-        pts = np.linspace(0.0, 1.0, 16).reshape(-1, 1)
-        mu = make_discrete(pts, np.full(16, 1.0 / 16))
-        family = MeasureFamily.from_members([mu])
-        phi = power(2.0, 0.5)
-        target = fitmod.constant(1, 1.0)
-        eta = netmod.zero_network(1, 1)
-        rep = robustmod.verify_robust_bound(family, phi, phi, target, eta,
-                                            gauge_tol=1e-12)
-        assert abs(rep.sup_l1 - 1.0) <= 1e-10
-        assert abs(rep.holder_rhs - 1.0) <= 1e-10
-
-    return [("lebesgue consistency", lebesgue_consistency),
-            ("young inequality", young_inequality),
-            ("conjugate spot values", conjugate_spot),
-            ("gadget exactness", gadget_exactness),
-            ("register agreement", register_agreement),
-            ("holder sweep", holder_sweep),
-            ("equality witness", equality_witness)]
-
-
-def _cmd_selftest(_args) -> int:
-    failures = 0
-    for name, check in _selftest_checks():
-        try:
-            check()
-        except AssertionError:
-            failures += 1
-            sys.stdout.write(f"FAIL {name}\n")
-        else:
-            sys.stdout.write(f"ok   {name}\n")
-    total = len(_selftest_checks())
-    sys.stdout.write(f"{total - failures}/{total} suites passed\n")
-    return 0 if failures == 0 else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orlicz-uat",
@@ -323,9 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(run=_cmd_robust)
-
-    p = sub.add_parser("selftest", help="run the built-in invariant suites")
-    p.set_defaults(run=_cmd_selftest)
     return parser
 
 

@@ -291,8 +291,7 @@ class CurveRow:
 
 def approximation_curve(f: TargetFunction, mu: DiscreteMeasure, phi,
                         widths, activation: str = "relu", seeds=(0, 1, 2),
-                        ridge: float = _DEFAULT_RIDGE,
-                        norm_choice: str = "euclidean") -> list:
+                        ridge: float = _DEFAULT_RIDGE) -> list:
     """One row per (width, seed): gauge and L1 errors of the fitted residual.
 
     Each seed's fit grows through the widths in one ``FeatureCache``.
@@ -306,8 +305,8 @@ def approximation_curve(f: TargetFunction, mu: DiscreteMeasure, phi,
         for cache in caches:
             eta = fit_random_features(f, mu, width, activation, cache.seed, ridge, cache)
             resid = FunctionTable.from_values(values - cache.predict(eta))
-            g = gauge_norm(phi, mu, resid, norm_choice=norm_choice).value
-            l1 = l1_norm(mu, resid, norm_choice=norm_choice)
+            g = gauge_norm(phi, mu, resid).value
+            l1 = l1_norm(mu, resid)
             rows.append(CurveRow(width, cache.seed, g, l1))
     return rows
 

@@ -102,8 +102,13 @@ _REJECTION_ROUNDS = 1000
 
 
 def _coords(key: str, value, d: int) -> np.ndarray:
-    """value as a float vector of length d; a scalar is repeated d times."""
-    return _parsed(key, lambda v: np.broadcast_to(np.asarray(v, dtype=np.float64), (d,)), value)
+    """value as a finite float vector of length d; a scalar is repeated d times."""
+    def convert(v):
+        out = np.broadcast_to(np.asarray(v, dtype=np.float64), (d,))
+        if not np.all(np.isfinite(out)):
+            raise ValueError("not finite")
+        return out
+    return _parsed(key, convert, value)
 
 
 def _draw_gaussian(rng: np.random.Generator, n: int, mean, std, box: Box) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Command line surface: parsing, output formats, exit codes."""
+import argparse
 import contextlib
 import copy
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orlicz_uat.cli import dispatch, parse_young_spec
+from orlicz_uat.cli import build_parser, dispatch, parse_young_spec
 from orlicz_uat.errors import ValidationError
 
 
@@ -448,6 +450,8 @@ def test_cli_inputs_name_the_bad_value(argv, named):
 
 _NO_MEAN = dict(_FUZZ_BASE["family"], samplers=[
     {"name": "mixture", "components": [{"weight": 1.0, "std": [0.2]}]}])
+_INF_MEAN = dict(_FUZZ_BASE["family"], samplers=[
+    {"name": "mixture", "components": [{"weight": 1.0, "mean": float("inf"), "std": 0.2}]}])
 
 
 @pytest.mark.parametrize("key, value, named", [
@@ -462,6 +466,7 @@ _NO_MEAN = dict(_FUZZ_BASE["family"], samplers=[
     ("family", {"kind": "mixtures", "count": "x", "points": 12, "seed": 5, "box": _UNIT},
      "count"),
     ("family", _NO_MEAN, "components"),
+    ("family", _INF_MEAN, "mean"),
 ])
 def test_robust_config_names_the_bad_key(tmp_path, capsys, key, value, named):
     cfg = dict(_FUZZ_CONFIGS["i"], **{key: value})
@@ -472,9 +477,8 @@ def test_robust_config_names_the_bad_key(tmp_path, capsys, key, value, named):
     assert err.startswith(f"error: bad value for {named}: ") and err.count("\n") == 1, err
 
 
-def test_selftest_command(capsys):
-    code = dispatch(["selftest"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "7/7 suites passed" in out
-    assert out.count("ok   ") == 7
+def test_readme_usage_line_names_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (usage,) = re.findall(r"^orlicz-uat \{([\w,]+)\} \.\.\.$", readme, flags=re.M)
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert usage.split(",") == list(sub.choices)

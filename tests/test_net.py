@@ -110,6 +110,9 @@ def test_gadget_exactness_sweep():
     mn = min_gadget().evaluate_batch(X)[:, 0]
     assert float(np.max(np.abs(mx - np.max(X, axis=1)))) <= 1e-12
     assert float(np.max(np.abs(mn - np.min(X, axis=1)))) <= 1e-12
+    xs = rng.uniform(-9.5, 50.0, size=(2000, 1))
+    ident = identity_gadget(10.0).evaluate_batch(xs)[:, 0]
+    assert float(np.max(np.abs(ident - xs[:, 0]))) <= 1e-12
 
 
 def test_bump_1d_oracles():
@@ -283,8 +286,9 @@ def test_clipped_register_network_is_the_clip_on_the_box(n_in, n_out, m, seed, l
     C = c + span
     net = clip_and_localize(to_register_form(g, J.enlarged(delta)), J, delta, c, C).network
     X = np.vstack([J.lo, J.hi, J.sample(rng, 64)])
-    gap = np.max(np.abs(net.evaluate_batch(X) - np.clip(g.evaluate_batch(X), c, C)))
-    assert float(gap) <= robust._AGREEMENT_TOL * (C - c)
+    want = np.clip(g.evaluate_batch(X), c, C)
+    gap = np.max(np.abs(net.evaluate_batch(X) - want))
+    assert float(gap) <= robust._AGREEMENT_TOL * max(1.0, float(np.max(np.abs(want))))
 
 
 def test_clip_and_localize_validation():

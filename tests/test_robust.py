@@ -299,6 +299,12 @@ def test_feature_caches_are_released_before_verification(tmp_path, monkeypatch):
     {"case": "ii", "activation": "relu", "clip_range": [-2.0, 2.0],
      "widths": [4, 8], "seeds": 2},
     {"case": "iv", "widths": [4, 8], "seeds": 2},
+    # case iv's affine family and weight are fixed, so no box, however far
+    # out or small, fails a hypothesis
+    *({"case": "iv", "widths": [4, 8], "seeds": 2,
+       "family": {"kind": "mixtures", "count": 3, "points": 64, "seed": 7,
+                  "box": {"lo": [lo], "hi": [hi]}}}
+      for lo, hi in ((10.0, 11.0), (-11.0, -10.0), (0.0, 1e-6))),
 ])
 def test_curve_rows_match_direct_member_errors(tmp_path, monkeypatch, overrides):
     # curve.csv takes each member error from the densities; every candidate,
@@ -370,6 +376,22 @@ def test_a_written_network_off_its_scores_is_refused(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: the written case-{case} network departs") and \
+        err.count("\n") == 1, err
+
+
+def test_a_clip_range_far_beyond_the_fit_is_refused(tmp_path, capsys):
+    # the register network clipped to [-1e20, 1] rounds at the scale of the
+    # clip range and departs from its scores by thousands; the agreement
+    # check scales with the scored values, not the clip range, so it refuses
+    cfg = base_config(tmp_path / "run", case="ii", activation="relu", clip_range=[-1e20, 1.0],
+                      epsilon=0.5, widths=[8], seeds=1,
+                      family={"kind": "mixtures", "count": 3, "points": 128, "seed": 7,
+                              "box": {"lo": [0.0], "hi": [1.0]}})
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code = dispatch(["robust", "--config", str(tmp_path / "cfg.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: the written case-ii network departs") and \
         err.count("\n") == 1, err
 
 
