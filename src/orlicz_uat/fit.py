@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FitSolverError, ValidationError, _count, _parsed
 from .measure import DiscreteMeasure, _match_rows
@@ -221,9 +220,14 @@ class FeatureCache:
         G = self._gram[np.ix_(slots, slots)]
         # the Gram matrix scales with the measure's mass, and so does the ridge
         G[np.diag_indices_from(G)] += self.ridge * self.mu.total_mass
+        rhs = self._rhs[slots]
+        # the factorization passes nan and inf through rather than refuse them
+        if not (np.all(np.isfinite(G)) and np.all(np.isfinite(rhs))):
+            raise FitSolverError("non-finite normal equations")
         try:
-            cf = scipy.linalg.cho_factor(G)
-            coef = scipy.linalg.cho_solve(cf, self._rhs[slots])
+            # the upper factor reads the upper triangle, which _grow writes last
+            U = np.linalg.cholesky(G, upper=True)
+            coef = np.linalg.solve(U, np.linalg.solve(U.T, rhs))
         except np.linalg.LinAlgError as exc:
             raise FitSolverError(f"singular normal equations ({exc})") from None
         readout = coef[:width].T

@@ -276,13 +276,15 @@ def default_psi_candidates() -> list[YoungFunction]:
 
 
 def dlvp_certificate(family: MeasureFamily, psi_candidates=None) -> DlvpCertificate:
-    """First candidate psi whose density gauge norms have a finite supremum.
+    """The first candidate psi, with its member density gauge norms and their supremum.
 
-    The norms are resolved to the pipeline's gauge tolerance, so
+    A gauge norm on a finite support is always finite (the bracketing raises
+    before it diverges), so the first candidate always certifies.  The norms
+    are resolved to the pipeline's gauge tolerance, so
     ``verify_robust_bound`` may take them from the certificate.
 
-    Candidates must be N-functions; cataloged kinds are checked structurally
-    and power with p = 1 is refused.
+    Every candidate must be an N-function; cataloged kinds are checked
+    structurally and power with p = 1 is refused.
     """
     from .orlicz import _GAUGE_TOL, FunctionTable, gauge_norm
 
@@ -293,13 +295,8 @@ def dlvp_certificate(family: MeasureFamily, psi_candidates=None) -> DlvpCertific
         verdict = is_structural_n_function(psi)
         if verdict is False:
             raise ValidationError(f"candidate {psi.kind} with p={psi.p} is not an N-function")
-    for psi in candidates:
-        norms = np.array([
-            gauge_norm(psi, family.dominating, FunctionTable.from_values(d),
-                       tol=_GAUGE_TOL).value
-            for d in family.densities
-        ])
-        sup = float(np.max(norms))
-        if np.isfinite(sup):
-            return DlvpCertificate(psi, norms, sup)
-    raise ValidationError("no candidate psi produced a finite supremum")
+    psi = candidates[0]
+    norms = np.array([gauge_norm(psi, family.dominating, FunctionTable.from_values(d),
+                                 tol=_GAUGE_TOL).value
+                      for d in family.densities])
+    return DlvpCertificate(psi, norms, float(np.max(norms)))

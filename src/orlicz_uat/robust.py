@@ -19,6 +19,10 @@ every support point; in case iv its readout bias is folded into a hidden
 unit.  That network is evaluated once and must agree with its scores, so the
 curve describes the written network.  The verification evaluates it again,
 directly, and takes the member density norms from the certificate.
+
+One thread pool serves the whole schedule, with one worker per seed, at most
+``os.cpu_count()``.  Each task grows only its own seed's cache, so the
+artifacts do not depend on the worker count.
 """
 from __future__ import annotations
 
@@ -219,6 +223,13 @@ _REQUIRED_KEYS = {"case", "family", "target", "epsilon"}
 _DEFAULT_ACTIVATION = {"i": "sigmoid", "ii": "relu", "iii": "sigmoid", "iv": "sigmoid"}
 
 
+def _finite_positive(value) -> float:
+    x = float(value)
+    if not 0.0 < x < math.inf:
+        raise ValueError("not a finite positive number")
+    return x
+
+
 def _validate_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise ValidationError("config must be an object")
@@ -242,7 +253,8 @@ def _validate_config(config: dict) -> dict:
     if not cfg["widths"] or not cfg["seeds"]:
         raise ValidationError("widths and seeds must be nonempty")
     cfg.setdefault("activation", _DEFAULT_ACTIVATION[cfg["case"]])
-    cfg["delta"] = _parsed("delta", float, cfg.get("delta", 0.05))
+    # the register rewrite of case ii enlarges the box by delta
+    cfg["delta"] = _parsed("delta", _finite_positive, cfg.get("delta", 0.05))
     cfg["ridge"] = _parsed("ridge", float, cfg.get("ridge", 1e-10))
     if "clip_range" in cfg:
         cfg["clip_range"] = _parsed(
@@ -256,17 +268,6 @@ def _validate_config(config: dict) -> dict:
             "psi_candidates", lambda v: [YoungFunction.from_json_dict(c) for c in v],
             cfg["psi_candidates"])
     return cfg
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("ORLICZ_UAT_THREADS", "0").strip() or "0"
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ValidationError("ORLICZ_UAT_THREADS must be an integer") from None
-    if val < 0:
-        raise ValidationError("ORLICZ_UAT_THREADS must be nonnegative")
-    return val if val > 0 else min(32, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -401,24 +402,17 @@ def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
     rows = []
     chosen = None
     best = None
-    workers = _max_workers()
-    for width in cfg["widths"]:
-        # each task grows its own seed's cache, so no state is shared
-        if workers > 1 and len(caches) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [(cache.seed, pool.submit(run_one, width, cache))
-                           for cache in caches]
-                batch = [(seed, fut.result()) for seed, fut in futures]
-        else:
-            batch = [(cache.seed, run_one(width, cache)) for cache in caches]
-        for seed, (g, scored, sup, gauge) in batch:
-            rows.append((width, seed, sup, gauge))
-            if best is None or sup < best[0]:
-                best = (sup, width, seed, g, scored)
-            if chosen is None and sup < epsilon:
-                chosen = (sup, width, seed, g, scored)
-        if chosen is not None:
-            break
+    with ThreadPoolExecutor(max_workers=min(len(caches), os.cpu_count() or 1)) as pool:
+        for width in cfg["widths"]:
+            batch = pool.map(run_one, [width] * len(caches), caches)
+            for seed, (g, scored, sup, gauge) in zip(cfg["seeds"], batch):
+                rows.append((width, seed, sup, gauge))
+                if best is None or sup < best[0]:
+                    best = (sup, width, seed, g, scored)
+                if chosen is None and sup < epsilon:
+                    chosen = (sup, width, seed, g, scored)
+            if chosen is not None:
+                break
     del caches  # release the hidden features before the verification runs
     success = chosen is not None
     sup, width, seed, g, scored = chosen if success else best

@@ -5,6 +5,8 @@ import copy
 import io
 import json
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import orlicz_uat
 from orlicz_uat.cli import build_parser, dispatch, parse_young_spec
 from orlicz_uat.errors import ValidationError
 
@@ -467,6 +470,8 @@ _INF_MEAN = dict(_FUZZ_BASE["family"], samplers=[
      "count"),
     ("family", _NO_MEAN, "components"),
     ("family", _INF_MEAN, "mean"),
+    ("delta", 0.0, "delta"),
+    ("delta", -1.0, "delta"),
 ])
 def test_robust_config_names_the_bad_key(tmp_path, capsys, key, value, named):
     cfg = dict(_FUZZ_CONFIGS["i"], **{key: value})
@@ -482,3 +487,13 @@ def test_readme_usage_line_names_every_subcommand():
     (usage,) = re.findall(r"^orlicz-uat \{([\w,]+)\} \.\.\.$", readme, flags=re.M)
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert usage.split(",") == list(sub.choices)
+
+
+def test_the_cli_imports_without_scipy():
+    # numpy is the only dependency; a fresh interpreter shows what the import pulls in
+    src = str(Path(orlicz_uat.__file__).resolve().parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import orlicz_uat.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                         text=True).stdout
+    assert out == "[]\n"

@@ -188,6 +188,13 @@ def test_fit_validation_and_singular_advice():
         fit_random_features(g, two, 2, "relu", 16, 0.0, cache)
 
 
+def test_non_finite_normal_equations_are_refused():
+    # relu features on a support spanning 1e300 overflow the Gram matrix
+    mu = make_discrete([[0.0], [1e300]], [0.5, 0.5])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FitSolverError):
+        fit_random_features(from_table(mu, [1.0, 2.0]), mu, 8, "relu", seed=0)
+
+
 def test_ridge_is_relative_to_the_total_mass():
     # eight sigmoid features on three points are nearly collinear; an
     # absolute ridge vanished beside a Gram matrix of mass 1e6

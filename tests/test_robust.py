@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import json
+import os
 import weakref
 from pathlib import Path
 
@@ -264,14 +265,23 @@ def test_experiment_artifacts_deterministic(tmp_path):
 
 @pytest.mark.parametrize("overrides", [{}, {"case": "ii", "activation": "relu"}])
 def test_artifacts_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, overrides):
+    sizes = []
+
+    class Recorded(robust.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(robust, "ThreadPoolExecutor", Recorded)
     outs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("ORLICZ_UAT_THREADS", threads)
-        outs.append(tmp_path / threads)
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        outs.append(tmp_path / str(cpus))
         run_robust_experiment(base_config(outs[-1], epsilon=1e-9, widths=[4, 8, 16],
                                           seeds=3, **overrides))
     for name in ("report.json", "curve.csv", "network.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert sizes == [1, 2]
 
 
 def test_feature_caches_are_released_before_verification(tmp_path, monkeypatch):
