@@ -215,7 +215,8 @@ class FeatureCache:
         if width > self._capacity:
             raise ValidationError("width exceeds the capacity of the feature cache")
         if width > self._width:
-            self._grow(width)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite below
+                self._grow(width)
         slots = self._slots(width)
         G = self._gram[np.ix_(slots, slots)]
         # the Gram matrix scales with the measure's mass, and so does the ridge

@@ -3,12 +3,12 @@
 A DiscreteMeasure is a finite set of support points in R^d with nonnegative
 weights.  A MeasureFamily bundles several measures with one dominating
 measure (the uniform average of the members over the union support) together
-with the pointwise densities of each member.  A family matches the points of
-all its members to the dominating support at once, comparing rows by their
-bytes after adding +0.0, so 0.0 and -0.0 are one point, as in np.unique.  The
-de la Vallee Poussin style certificate records, for one candidate Young
-function psi, the gauge norms of all member densities and their supremum; a
-finite supremum witnesses uniform integrability of the family relative to psi.
+with the pointwise densities of each member.  A support is one lexsort of its
+points plus +0.0 (so 0.0 and -0.0 are one point), and a family build sorts all
+member points once, keeping each member's dominating rows.  The de la Vallee
+Poussin style certificate records, for one candidate Young function psi, the
+gauge norms of all member densities, each on its member's rows, and their
+supremum; a finite supremum witnesses uniform integrability relative to psi.
 """
 from __future__ import annotations
 
@@ -81,20 +81,30 @@ def make_discrete(points, weights) -> DiscreteMeasure:
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     w = np.asarray(weights, dtype=np.float64).ravel()
-    if pts.ndim != 2:
-        raise ValidationError("points must form a 1-d or 2-d array")
+    if pts.ndim != 2 or pts.shape[1] == 0:
+        raise ValidationError("points must form a 1-d or 2-d array with at least one coordinate")
     if pts.shape[0] != w.shape[0]:
         raise ValidationError("points and weights must have equal length")
     if np.any(~np.isfinite(w)) or np.any(w < 0.0):
         raise ValidationError("weights must be finite and nonnegative")
-    keep = w > 0.0
-    pts, w = pts[keep], w[keep]
-    if pts.shape[0] == 0:
+    return _canonical(pts, w)[0]
+
+
+def _canonical(pts: np.ndarray, w: np.ndarray):
+    """make_discrete's measure, and the support row of each input row (-1 where its
+    point has no weight).  bincount sums each run in input order, as np.add.at
+    would; np.add.reduceat reorders the sum and can move its last bit."""
+    order = np.lexsort(pts.T[::-1])  # -0.0 and 0.0 sort as equals; + 0.0 makes both 0.0
+    run = pts[order] + 0.0
+    starts = np.concatenate([[True], np.any(run[1:] != run[:-1], axis=1)])
+    rows = np.empty_like(order)
+    rows[order] = np.cumsum(starts) - 1
+    merged = np.bincount(rows, w)
+    kept = merged > 0.0
+    if not np.any(kept):
         raise ValidationError("measure has empty support after dropping zero weights")
-    uniq, rows = np.unique(pts, axis=0, return_inverse=True)
-    merged = np.zeros(uniq.shape[0])
-    np.add.at(merged, rows, w)
-    return DiscreteMeasure(uniq, merged)
+    rows = np.where(kept[rows], (np.cumsum(kept) - 1)[rows], -1)
+    return DiscreteMeasure(run[starts][kept], merged[kept]), rows
 
 
 _SAMPLER_NAMES = ("uniform", "gaussian", "mixture")
@@ -182,7 +192,11 @@ def sample_empirical(density_spec, n: int, seed: int, clip_box: Box) -> Discrete
 
 def dominating_measure(members) -> DiscreteMeasure:
     """Uniform average of the members over the union of their supports."""
-    members = list(members)
+    return _dominating_with_rows(list(members))[0]
+
+
+def _dominating_with_rows(members):
+    """The dominating measure and each member's support rows, from one sort."""
     if not members:
         raise ValidationError("need at least one member measure")
     dims = {m.dimension for m in members}
@@ -190,7 +204,8 @@ def dominating_measure(members) -> DiscreteMeasure:
         raise ValidationError("member measures must share one dimension")
     pts = np.concatenate([m.points for m in members])
     w = np.concatenate([m.weights / len(members) for m in members])
-    return make_discrete(pts, w)
+    mu, rows = _canonical(pts, w)
+    return mu, np.split(rows, np.cumsum([m.support_size for m in members])[:-1])
 
 
 def _match_rows(support, points, missing=AbsoluteContinuityError) -> np.ndarray:
@@ -217,20 +232,13 @@ def radon_nikodym(nu: DiscreteMeasure, mu: DiscreteMeasure) -> np.ndarray:
     return _density(nu, mu, _match_rows(mu.points, nu.points))
 
 
-def _member_rows(members, mu: DiscreteMeasure) -> list:
-    """Support rows of each member's points, from one match of all of them."""
-    if any(nu.dimension != mu.dimension for nu in members):
-        raise AbsoluteContinuityError("member support escapes the dominating measure")
-    rows = _match_rows(mu.points, np.concatenate([nu.points for nu in members]))
-    return np.split(rows, np.cumsum([nu.support_size for nu in members])[:-1])
-
-
 @dataclass(frozen=True, eq=False)
 class MeasureFamily:
     members: tuple
     dominating: DiscreteMeasure
     densities: tuple
-    _rows: InitVar[list | None] = None  # member rows that from_members already matched
+    rows: tuple = field(init=False, repr=False)  # each member's rows of the dominating support
+    _rows: InitVar[list | None] = None  # the rows that from_members already found
 
     def __post_init__(self, _rows):
         members = tuple(self.members)
@@ -238,7 +246,9 @@ class MeasureFamily:
         if len(members) == 0 or len(members) != len(densities):
             raise ValidationError("family needs matching members and densities")
         mu = self.dominating
-        rows = _member_rows(members, mu) if _rows is None else _rows
+        if any(nu.dimension != mu.dimension for nu in members):
+            raise AbsoluteContinuityError("member support escapes the dominating measure")
+        rows = tuple(_rows or (_match_rows(mu.points, nu.points) for nu in members))
         for nu, dens, j in zip(members, densities, rows):
             if dens.shape != (mu.support_size,):
                 raise ValidationError("density must align with the dominating support")
@@ -247,21 +257,34 @@ class MeasureFamily:
             if np.any(np.abs(nu.weights - dens[j] * mu.weights[j])
                       > _DENSITY_RTOL * np.maximum(nu.weights, 1e-300)):
                 raise ValidationError("density does not reproduce the member mass")
+            if np.any(np.delete(dens, j)):
+                raise ValidationError("density must vanish off the member's support")
         for d in densities:
             d.setflags(write=False)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "densities", densities)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_members(cls, members) -> "MeasureFamily":
         members = tuple(members)
-        mu = dominating_measure(members)
-        rows = _member_rows(members, mu)
+        mu, rows = _dominating_with_rows(members)
+        if any(np.any(j < 0) for j in rows):
+            raise AbsoluteContinuityError("a member point has no dominating mass")
         return cls(members, mu, tuple(_density(nu, mu, j) for nu, j in zip(members, rows)), rows)
 
     @property
     def size(self) -> int:
         return len(self.members)
+
+    def density_norms(self, psi: YoungFunction, tol: float) -> np.ndarray:
+        """Each density's psi gauge norm on its member's rows, off which it is 0 and phi(0) = 0."""
+        from .orlicz import FunctionTable, gauge_norm
+
+        mu = self.dominating
+        return np.array([gauge_norm(psi, DiscreteMeasure(mu.points[j], mu.weights[j]),
+                                    FunctionTable.from_values(d[j]), tol=tol).value
+                         for d, j in zip(self.densities, self.rows)])
 
 
 @dataclass(frozen=True)
@@ -279,24 +302,20 @@ def dlvp_certificate(family: MeasureFamily, psi_candidates=None) -> DlvpCertific
     """The first candidate psi, with its member density gauge norms and their supremum.
 
     A gauge norm on a finite support is always finite (the bracketing raises
-    before it diverges), so the first candidate always certifies.  The norms
-    are resolved to the pipeline's gauge tolerance, so
-    ``verify_robust_bound`` may take them from the certificate.
+    before it diverges), so the first candidate always certifies.  The norms,
+    each on its member's rows, are resolved to the pipeline's gauge tolerance,
+    so ``verify_robust_bound`` may take them from the certificate.
 
     Every candidate must be an N-function; cataloged kinds are checked
     structurally and power with p = 1 is refused.
     """
-    from .orlicz import _GAUGE_TOL, FunctionTable, gauge_norm
+    from .orlicz import _GAUGE_TOL
 
     candidates = list(psi_candidates) if psi_candidates is not None else default_psi_candidates()
     if not candidates:
         raise ValidationError("need at least one candidate psi")
     for psi in candidates:
-        verdict = is_structural_n_function(psi)
-        if verdict is False:
+        if is_structural_n_function(psi) is False:
             raise ValidationError(f"candidate {psi.kind} with p={psi.p} is not an N-function")
-    psi = candidates[0]
-    norms = np.array([gauge_norm(psi, family.dominating, FunctionTable.from_values(d),
-                                 tol=_GAUGE_TOL).value
-                      for d in family.densities])
-    return DlvpCertificate(psi, norms, float(np.max(norms)))
+    norms = family.density_norms(candidates[0], _GAUGE_TOL)
+    return DlvpCertificate(candidates[0], norms, float(np.max(norms)))

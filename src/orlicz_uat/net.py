@@ -45,7 +45,8 @@ def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        with np.errstate(over="ignore"):  # exp(-z) = inf gives the exact limit 0
+            return 1.0 / (1.0 + np.exp(-z))
     if name == "tanh":
         return np.tanh(z)
     if name in ("identity", _OUTPUT_ACT):

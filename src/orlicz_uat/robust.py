@@ -101,7 +101,7 @@ def verify_robust_bound(family: MeasureFamily, phi_M: YoungFunction,
     ``certificate`` that chose psi_M, the member density norms are taken
     from it rather than recomputed.
     """
-    density_norms = (None if certificate is None
+    density_norms = (family.density_norms(psi_M, gauge_tol) if certificate is None
                      else _certified_density_norms(family, psi_M, certificate, gauge_tol))
     mu = family.dominating
     resid = residual_table(f, eta, mu)
@@ -112,9 +112,6 @@ def verify_robust_bound(family: MeasureFamily, phi_M: YoungFunction,
         if abs(via_density - per[i]) > _CHANGE_OF_MEASURE_RTOL * max(per[i], 1e-300):
             raise OrliczError("change-of-measure identity failed for a member")
     gauge_error = gauge_norm(phi_M, mu, resid, tol=gauge_tol).value
-    if density_norms is None:
-        density_norms = [gauge_norm(psi_M, mu, FunctionTable.from_values(d), tol=gauge_tol).value
-                         for d in family.densities]
     density_norm_sup = float(max(density_norms))
     holder_rhs = 2.0 * gauge_error * density_norm_sup
     bound_holds = sup_l1 <= holder_rhs * (1.0 + _HOLDER_SLACK)

@@ -312,6 +312,23 @@ def test_robust_non_finite_target_exits_without_warnings():
     assert (code, err) == (2, "error: target produced non-finite values\n")
 
 
+@pytest.mark.parametrize("case, hi, expected", [
+    ("i", 1e200, (0, "")),
+    ("ii", 1e300, (2, "error: non-finite normal equations\n")),
+])
+def test_robust_on_a_huge_box_exits_without_warnings(case, hi, expected):
+    # sigmoid features of points near 1e200 overflow exp(-z) to the exact
+    # limit 0; relu features near 1e300 overflow the Gram matrix, which the
+    # fit refuses by name
+    cfg = {"case": case, "family": {"kind": "mixtures", "count": 2, "points": 16, "seed": 7,
+                                    "box": {"lo": [0.0], "hi": [hi]}},
+           "target": {"name": "sin_product", "dim": 1}, "epsilon": 0.5, "widths": [8],
+           "seeds": 1, "activation": "sigmoid" if case == "i" else "relu"}
+    code, err = _cli(["robust", "--config", "{dir}/cfg.json", "--out-dir", "{dir}/run"],
+                     [("cfg.json", cfg)])
+    assert (code, err) == expected
+
+
 _PHI_SPECS = ("power:2", "power:1.5:0.5", "power:x", "power:", "power:2:x", "power:0.5",
               "power:inf", "power:nan", "power:1e400", "power:2:0", "power:2:-1", "entropy",
               "exp_minus_linear", "entropy:1", "tabulated:{dir}/phi.json",

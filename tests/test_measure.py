@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orlicz_uat import (AbsoluteContinuityError, Box, DiscreteMeasure,
+from orlicz_uat import (AbsoluteContinuityError, Box, DiscreteMeasure, FunctionTable,
                         MeasureFamily, ValidationError, default_psi_candidates,
                         dlvp_certificate, dominating_measure, entropy,
-                        make_discrete, measure, power, radon_nikodym,
-                        sample_empirical)
+                        exp_minus_linear, gauge_norm, make_discrete, measure, power,
+                        radon_nikodym, sample_empirical, tabulated)
 
 
 def test_box_validation_and_queries():
@@ -230,6 +230,8 @@ def test_family_counts_signed_zeros_as_one_point(first, second):
 
 
 def test_family_build_matches_all_member_points_at_once(monkeypatch):
+    # the member rows come from the inverse of the dominating sort, so the
+    # build never searches the support
     calls = []
     match = measure._match_rows
 
@@ -242,7 +244,7 @@ def test_family_build_matches_all_member_points_at_once(monkeypatch):
                make_discrete([[1.0], [2.0], [3.0]], [0.2, 0.3, 0.5]),
                make_discrete([[3.0]], [1.0])]
     MeasureFamily.from_members(members)
-    assert calls == [6]
+    assert calls == []
 
 
 _GRID = (-1.0, -0.0, 0.0, 0.5)
@@ -285,6 +287,74 @@ def test_family_matcher_against_a_dict_reference(members):
     with pytest.raises(AbsoluteContinuityError):
         MeasureFamily(family.members + (off,), mu,
                       family.densities + (np.zeros(mu.support_size),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda d: st.lists(
+    st.tuples(st.tuples(*[st.sampled_from(_GRID)] * d),
+              st.one_of(st.just(0.0), st.floats(1e-3, 1.0))), min_size=1, max_size=40)))
+def test_canonical_support_against_np_unique(drawn):
+    # runs of up to 40 equal points, signed zeros and zero weights; np.unique
+    # keeps whichever signed zero its unstable sort puts first, so the
+    # reference sorts the points plus +0.0, as the canonical support does
+    pts = np.array([p for p, _ in drawn])
+    w = np.array([x for _, x in drawn])
+    keep = w > 0.0
+    if not np.any(keep):
+        with pytest.raises(ValidationError):
+            make_discrete(pts, w)
+        return
+    mu, rows = measure._canonical(pts, w)
+    uniq, inv = np.unique(pts[keep] + 0.0, axis=0, return_inverse=True)
+    merged = np.zeros(uniq.shape[0])
+    np.add.at(merged, inv.ravel(), w[keep])
+    assert mu.points.tobytes() == uniq.tobytes()
+    assert mu.weights.tobytes() == merged.tobytes()
+    assert rows[keep].tolist() == inv.ravel().tolist()
+    index = {p.tobytes(): i for i, p in enumerate(uniq)}
+    assert rows[~keep].tolist() == [index.get((p + 0.0).tobytes(), -1) for p in pts[~keep]]
+
+
+_PSIS = {"power": power(1.5, 2.0 / 3.0), "exp_minus_linear": exp_minus_linear(),
+         "entropy": entropy(), "tabulated": tabulated([0.0, 1.0, 2.0, 4.0], [0.0, 0.5, 2.0, 8.0])}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda d: st.lists(st.lists(
+    st.tuples(st.tuples(*[st.sampled_from((-1.0, -0.0, 0.0, 0.25, 0.5, 2.0))] * d),
+              st.floats(1e-3, 1.0)), min_size=1, max_size=12), min_size=1, max_size=5)),
+       st.sampled_from(sorted(_PSIS)))
+def test_density_norms_on_member_rows_equal_the_full_support_norms(drawn, kind):
+    family = MeasureFamily.from_members([make_discrete([p for p, _ in m], [x for _, x in m])
+                                         for m in drawn])
+    mu = family.dominating
+    for nu, j in zip(family.members, family.rows):
+        assert j.tolist() == measure._match_rows(mu.points, nu.points).tolist()
+    # resolved far below the comparison, so a bisection step that the summation
+    # order flips moves a norm by less than the tolerance asked for
+    restricted = family.density_norms(_PSIS[kind], 1e-15)
+    for d, norm in zip(family.densities, restricted):
+        full = gauge_norm(_PSIS[kind], mu, FunctionTable.from_values(d), tol=1e-15).value
+        assert abs(norm - full) <= 1e-12 * full
+
+
+def test_family_refuses_a_density_off_its_member_support():
+    members = [make_discrete([[0.0]], [1.0]), make_discrete([[1.0]], [1.0])]
+    family = MeasureFamily.from_members(members)
+    densities = [d.copy() for d in family.densities]
+    densities[0][1] = 0.5
+    with pytest.raises(ValidationError, match="vanish"):
+        MeasureFamily(family.members, family.dominating, tuple(densities))
+
+
+def test_family_member_points_without_mass():
+    # a point of weight zero belongs to the family only where another member has mass
+    massless = DiscreteMeasure([[0.0], [1.0]], [0.0, 1.0])
+    with pytest.raises(AbsoluteContinuityError):
+        MeasureFamily.from_members([massless])
+    family = MeasureFamily.from_members([massless, make_discrete([[0.0]], [1.0])])
+    assert [d.tolist() for d in family.densities] == [[0.0, 2.0], [2.0, 0.0]]
+    assert [j.tolist() for j in family.rows] == [[0, 1], [0]]
 
 
 def test_measure_json_shape():
