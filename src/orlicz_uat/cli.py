@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import fit as fitmod
 from . import net as netmod
 from . import robust as robustmod
@@ -133,6 +135,10 @@ def _cmd_construct(args) -> int:
             J = Box.from_json_dict(_load_json(args.inner_box))
             reg = netmod.clip_and_localize(reg, J, args.delta,
                                            args.clip_low, args.clip_high)
+            X = np.vstack([0.5 * (J.lo + J.hi), J.lo, J.hi])
+            want = np.clip(shallow.evaluate_batch(X), args.clip_low, args.clip_high)
+            netmod._check_agreement(reg.network, X, want, "the clipped network departs from"
+                                    " the clip of --net at the centre and corners of --inner-box")
         net = reg.network if isinstance(reg, netmod.RegisterNetwork) else reg
     else:
         raise ValidationError(f"unknown construction {what!r}")

@@ -23,14 +23,11 @@ import numpy as np
 
 from .errors import FitSolverError, ValidationError, _count, _parsed
 from .measure import DiscreteMeasure, _match_rows
-from .net import Layer, Network, _apply_activation
+from .net import _ROW_BLOCK, Layer, Network, _apply_activation
 from .orlicz import FunctionTable, gauge_norm, l1_norm
 
 _FIT_ACTS = ("relu", "sigmoid", "tanh")
 _DEFAULT_RIDGE = 1e-10
-# support points activated per block; each row's activations do not depend
-# on the blocking, which only bounds the temporaries
-_ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,6 +188,7 @@ class FeatureCache:
         W, b = draw_features(self.mu.dimension, width, self.seed, *self._box, start=w0)
         self._W[w0:width], self._b[w0:width] = W, b
         new = slice(w0 + 1, width + 1)
+        # support points activated per block, which only bounds the temporaries
         for start in range(0, X.shape[0], _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
             self._design[rows, new] = _apply_activation(self.activation, X[rows] @ W.T + b)

@@ -237,7 +237,7 @@ class MeasureFamily:
     members: tuple
     dominating: DiscreteMeasure
     densities: tuple
-    rows: tuple = field(init=False, repr=False)  # each member's rows of the dominating support
+    rows: tuple = field(init=False, repr=False)  # each member's dominating rows, each once
     _rows: InitVar[list | None] = None  # the rows that from_members already found
 
     def __post_init__(self, _rows):
@@ -248,22 +248,26 @@ class MeasureFamily:
         mu = self.dominating
         if any(nu.dimension != mu.dimension for nu in members):
             raise AbsoluteContinuityError("member support escapes the dominating measure")
-        rows = tuple(_rows or (_match_rows(mu.points, nu.points) for nu in members))
-        for nu, dens, j in zip(members, densities, rows):
+        found = _rows or [_match_rows(mu.points, nu.points) for nu in members]
+        rows = []
+        for nu, dens, j in zip(members, densities, found):
             if dens.shape != (mu.support_size,):
                 raise ValidationError("density must align with the dominating support")
             if np.any(dens < 0.0) or np.any(~np.isfinite(dens)):
                 raise ValidationError("densities must be finite and nonnegative")
-            if np.any(np.abs(nu.weights - dens[j] * mu.weights[j])
-                      > _DENSITY_RTOL * np.maximum(nu.weights, 1e-300)):
+            j, inv = np.unique(j, return_inverse=True)  # a repeated point's mass is its total
+            mass = np.bincount(inv, nu.weights)
+            if np.any(np.abs(mass - dens[j] * mu.weights[j])
+                      > _DENSITY_RTOL * np.maximum(mass, 1e-300)):
                 raise ValidationError("density does not reproduce the member mass")
             if np.any(np.delete(dens, j)):
                 raise ValidationError("density must vanish off the member's support")
+            rows.append(j)
         for d in densities:
             d.setflags(write=False)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "densities", densities)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(rows))
 
     @classmethod
     def from_members(cls, members) -> "MeasureFamily":

@@ -25,6 +25,11 @@ output g_j by
 
 which equals the clip of g_j to [c, C] on J and vanishes identically outside
 K, regardless of how the carried values degrade beyond the declared box.
+
+A network evaluates its input in blocks of rows, each layer computed in
+place in the block's own buffer, so it holds one block's activations at a
+time.  The last block takes the remainder, as BLAS rounds a product of a few
+rows with other kernels, so on one BLAS thread no row depends on the blocking.
 """
 from __future__ import annotations
 
@@ -35,20 +40,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .box import Box
-from .errors import ValidationError, _parsed
+from .errors import OrliczError, ValidationError, _parsed
 
 _HIDDEN_ACTS = ("relu", "sigmoid", "tanh", "identity")
 _OUTPUT_ACT = "none"
+_ROW_BLOCK = 4096  # rows per block of a network evaluation and of a feature cache's growth
+# a written network may depart from the values it must reproduce by at most
+# this fraction of their largest magnitude, at least 1
+_AGREEMENT_TOL = 1e-9
 
 
 def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
+    """The activation of z, computed in z's own buffer."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "sigmoid":
+        np.negative(z, out=z)
         with np.errstate(over="ignore"):  # exp(-z) = inf gives the exact limit 0
-            return 1.0 / (1.0 + np.exp(-z))
+            np.exp(z, out=z)
+        z += 1.0
+        return np.divide(1.0, z, out=z)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if name in ("identity", _OUTPUT_ACT):
         return z
     raise ValidationError(f"unknown activation {name!r}")
@@ -115,12 +128,20 @@ class Network:
         return tuple(lay.out_dim for lay in self.layers[:-1])
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if z.shape[1] != self.input_dim:
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        if X.shape[1] != self.input_dim:
             raise ValidationError("input dimension mismatch")
-        for lay in self.layers:
-            z = _apply_activation(lay.act, z @ lay.A.T + lay.b)
-        return z
+        n = X.shape[0]
+        out = np.empty((n, self.output_dim))
+        stops = [*range(_ROW_BLOCK, n - _ROW_BLOCK + 1, _ROW_BLOCK), n]  # the last takes the rest
+        for start, stop in zip([0, *stops], stops):
+            z = X[start:stop]
+            for lay in self.layers:
+                z = z @ lay.A.T
+                z += lay.b
+                z = _apply_activation(lay.act, z)
+            out[start:stop] = z
+        return out
 
     def evaluate(self, x) -> np.ndarray:
         return self.evaluate_batch(np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
@@ -146,6 +167,15 @@ class Network:
         if net.input_dim != _parsed("input_dim", int, obj["input_dim"]):
             raise ValidationError("declared input_dim disagrees with the first layer")
         return net
+
+
+def _check_agreement(net: Network, X, want, departure: str):
+    """OrliczError, its message starting with departure, unless net matches want on X."""
+    tol = _AGREEMENT_TOL * max(1.0, float(np.max(np.abs(want))))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gap is refused
+        gap = float(np.max(np.abs(net.evaluate_batch(X) - want)))
+    if not gap <= tol:
+        raise OrliczError(f"{departure} by {gap:.3g} (tolerance {tol:.3g})")
 
 
 def zero_network(n_in: int, n_out: int) -> Network:

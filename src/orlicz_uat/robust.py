@@ -41,8 +41,8 @@ from .fit import (FeatureCache, TargetFunction, fit_random_features, make_target
                   residual_table)
 from .measure import (DiscreteMeasure, DlvpCertificate, MeasureFamily,
                       dlvp_certificate, sample_empirical)
-from .net import (Layer, Network, _apply_activation, clip_and_localize, to_register_form,
-                  zero_network)
+from .net import (Layer, Network, _apply_activation, _check_agreement, clip_and_localize,
+                  to_register_form, zero_network)
 from .orlicz import (_GAUGE_TOL, _HOLDER_SLACK, FunctionTable, _point_norms, gauge_norm,
                      l1_norm)
 from .young import YoungFunction, complementary
@@ -327,11 +327,6 @@ def _trial(case: str, cfg: dict, f: TargetFunction, cache: FeatureCache, width: 
     return g, scored
 
 
-# The written network of case ii or iv may differ from its scored values by
-# at most this fraction of the largest scored magnitude, at least 1.
-_AGREEMENT_TOL = 1e-9
-
-
 def _written(case: str, cfg: dict, f: TargetFunction, box: Box, mu: DiscreteMeasure,
              g: Network, scored) -> Network:
     """The artifact for the chosen fit ``g``, checked against its scored values on mu.
@@ -352,12 +347,8 @@ def _written(case: str, cfg: dict, f: TargetFunction, box: Box, mu: DiscreteMeas
         eta = clip_and_localize(reg, box, cfg["delta"], c_lo, c_hi).network
     else:
         eta = _bias_as_hidden_unit(g)
-    tol = _AGREEMENT_TOL * max(1.0, float(np.max(np.abs(scored))))
-    gap = float(np.max(np.abs(eta.evaluate_batch(mu.points) - scored)))
-    if not gap <= tol:
-        raise OrliczError(
-            f"the written case-{case} network departs from its scored values by {gap:.3g}"
-            f" (tolerance {tol:.3g})")
+    _check_agreement(eta, mu.points, scored,
+                     f"the written case-{case} network departs from its scored values")
     return eta
 
 

@@ -413,6 +413,18 @@ def test_construct_clip_refuses_a_bound_past_the_double_range(bound):
     assert code == 2 and err.count("\n") == 1, err
 
 
+def test_construct_clip_refuses_a_network_off_the_clip():
+    # clipped to [-1e20, 1], the network rounds at the scale of the clip range:
+    # -6896.8 at x = 0, 0.25 and 0.5, where the clip is -0.25, 0.25 and 0.75
+    code, err = _cli(["construct", "--what", "clip", "--net", "{dir}/net.json", "--box",
+                      "{dir}/box.json", "--inner-box", "{dir}/inner.json",
+                      "--clip-low=-1e20", "--clip-high", "1"],
+                     [("net.json", _NET), ("box.json", _BOX), ("inner.json", _INNER)])
+    assert code == 2
+    assert err.startswith("error: the clipped network departs from the clip of --net") and \
+        err.count("\n") == 1, err
+
+
 _FIT_MEASURE = {"dim": 1, "points": [[0.0], [0.25], [0.5], [1.0]],
                 "weights": [0.25, 0.25, 0.25, 0.25]}
 

@@ -347,6 +347,19 @@ def test_family_refuses_a_density_off_its_member_support():
         MeasureFamily(family.members, family.dominating, tuple(densities))
 
 
+def test_family_takes_a_repeated_member_point_once_with_its_total_mass():
+    # a DiscreteMeasure may list a point twice; the density on its row is 0.5 / 0.5
+    repeated = DiscreteMeasure([[0.0], [0.0], [1.0]], [0.25, 0.25, 0.5])
+    family = MeasureFamily.from_members([repeated])
+    assert family.densities[0].tolist() == [1.0, 1.0]
+    merged = MeasureFamily.from_members([make_discrete(repeated.points, repeated.weights)])
+    psi = power(2.0, 0.5)
+    assert family.density_norms(psi, 1e-12).tolist() == merged.density_norms(psi, 1e-12).tolist()
+    MeasureFamily((repeated,), family.dominating, (np.array([1.0, 1.0]),))
+    with pytest.raises(ValidationError, match="member mass"):
+        MeasureFamily((repeated,), family.dominating, (np.array([0.5, 1.0]),))
+
+
 def test_family_member_points_without_mass():
     # a point of weight zero belongs to the family only where another member has mass
     massless = DiscreteMeasure([[0.0], [1.0]], [0.0, 1.0])

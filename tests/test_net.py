@@ -1,11 +1,17 @@
 """Network data model, ReLU gadgets, register form, clipping, functional nets."""
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orlicz_uat
 from orlicz_uat import (AffineFamily, AffineMap, Box, Layer,
                         LinearOnlyFamily, Network, RegisterLayout,
                         ValidationError, ZeroFamily, bump_1d, box_indicator,
@@ -16,6 +22,7 @@ from orlicz_uat import (AffineFamily, AffineMap, Box, Layer,
                         quadratic_weight_scalar, robust, sin_product,
                         to_register_form, zero_network)
 from orlicz_uat.fit import FeatureCache
+from orlicz_uat.net import _AGREEMENT_TOL
 
 
 def relu_pair_identity():
@@ -23,6 +30,69 @@ def relu_pair_identity():
     hidden = Layer(np.array([[1.0], [-1.0]]), np.zeros(2), "relu")
     out = Layer(np.array([[1.0, -1.0]]), np.zeros(1), "none")
     return Network((hidden, out))
+
+
+def _one_product(net: Network, X: np.ndarray) -> np.ndarray:
+    """Every layer over all rows at once, the sigmoid as 1 / (1 + exp(-z))."""
+    z = X
+    for lay in net.layers:
+        z = z @ lay.A.T + lay.b
+        if lay.act == "relu":
+            z = np.maximum(z, 0.0)
+        elif lay.act == "sigmoid":
+            with np.errstate(over="ignore"):
+                z = 1.0 / (1.0 + np.exp(-z))
+        elif lay.act == "tanh":
+            z = np.tanh(z)
+    return z
+
+
+_BLOCK_ROWS = (0, 1, 4095, 4096, 4097, 2 * 4096 + 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 140), min_size=2, max_size=9),
+       st.lists(st.sampled_from(("relu", "sigmoid", "tanh", "identity")), min_size=7,
+                max_size=7),
+       st.sampled_from(_BLOCK_ROWS) | st.integers(0, 3 * 4096), st.floats(0.0, 3.0))
+def _blocked_is_the_one_product(seed, dims, acts, rows, decades):
+    # depth 1-8 and widths 1-140; inputs up to 1e3 push sigmoid arguments
+    # below -709, where exp(-z) overflows to inf and the sigmoid is exactly 0
+    rng = np.random.default_rng(seed)
+    layers = [Layer(rng.standard_normal((m, k)), rng.standard_normal(m), act)
+              for k, m, act in zip(dims, dims[1:], acts)]
+    net = Network((*layers[:-1], Layer(layers[-1].A, layers[-1].b, "none")))
+    X = 10.0 ** decades * rng.standard_normal((rows, dims[0]))
+    X_before = X.copy()
+    assert np.array_equal(net.evaluate_batch(X), _one_product(net, X))
+    assert np.array_equal(X, X_before)
+
+
+def test_blocked_evaluation_is_the_one_product_bit_for_bit():
+    # on one BLAS thread, in a fresh interpreter: a threaded BLAS splits the
+    # rows of a matrix-vector product among its threads and rounds a row by
+    # where the split falls, so even the one product then depends on the row count
+    paths = [str(Path(__file__).resolve().parent), str(Path(orlicz_uat.__file__).parents[1])]
+    probe = (f"import sys; sys.path[:0] = {paths!r}; import test_net; "
+             "test_net._blocked_is_the_one_product()")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_evaluation_holds_one_block_of_activations():
+    # all 100,000 rows of a width-128 layer at once would take 98 MiB per temporary
+    rng = np.random.default_rng(0)
+    net = Network((Layer(rng.standard_normal((128, 2)), rng.standard_normal(128), "sigmoid"),
+                   Layer(rng.standard_normal((1, 128)), rng.standard_normal(1), "none")))
+    X = rng.standard_normal((100_000, 2))
+    tracemalloc.start()
+    try:
+        net.evaluate_batch(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_evaluate_affine_identity():
@@ -288,7 +358,7 @@ def test_clipped_register_network_is_the_clip_on_the_box(n_in, n_out, m, seed, l
     X = np.vstack([J.lo, J.hi, J.sample(rng, 64)])
     want = np.clip(g.evaluate_batch(X), c, C)
     gap = np.max(np.abs(net.evaluate_batch(X) - want))
-    assert float(gap) <= robust._AGREEMENT_TOL * max(1.0, float(np.max(np.abs(want))))
+    assert float(gap) <= _AGREEMENT_TOL * max(1.0, float(np.max(np.abs(want))))
 
 
 def test_clip_and_localize_validation():
