@@ -1,26 +1,25 @@
 """Finitely supported measures, measure families, and integrability certificates.
 
 A DiscreteMeasure is a finite set of support points in R^d with nonnegative
-weights.  A MeasureFamily bundles several measures with one dominating
-measure (the uniform average of the members over the union support) together
-with the pointwise densities of each member.  A support is one lexsort of its
-points plus +0.0 (so 0.0 and -0.0 are one point), and a family build sorts all
-member points once, keeping each member's dominating rows.  The de la Vallee
+weights.  A support is one lexsort of its points plus +0.0 (so 0.0 and -0.0
+are one point).  A MeasureFamily is built from its member measures alone: one
+sort of all member points gives the dominating measure (the uniform average
+of the members over the union support) and each member's rows of it, and each
+member's density is kept once, on those rows only; radon_nikodym gives the
+dense form over the whole dominating support.  The de la Vallee
 Poussin style certificate records, for one candidate Young function psi, the
 gauge norms of all member densities, each on its member's rows, and their
 supremum; a finite supremum witnesses uniform integrability relative to psi.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .box import Box
 from .errors import AbsoluteContinuityError, ValidationError, _parsed
 from .young import YoungFunction, entropy, is_structural_n_function, power
-
-_DENSITY_RTOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,20 +191,7 @@ def sample_empirical(density_spec, n: int, seed: int, clip_box: Box) -> Discrete
 
 def dominating_measure(members) -> DiscreteMeasure:
     """Uniform average of the members over the union of their supports."""
-    return _dominating_with_rows(list(members))[0]
-
-
-def _dominating_with_rows(members):
-    """The dominating measure and each member's support rows, from one sort."""
-    if not members:
-        raise ValidationError("need at least one member measure")
-    dims = {m.dimension for m in members}
-    if len(dims) != 1:
-        raise ValidationError("member measures must share one dimension")
-    pts = np.concatenate([m.points for m in members])
-    w = np.concatenate([m.weights / len(members) for m in members])
-    mu, rows = _canonical(pts, w)
-    return mu, np.split(rows, np.cumsum([m.support_size for m in members])[:-1])
+    return MeasureFamily(members).dominating
 
 
 def _match_rows(support, points, missing=AbsoluteContinuityError) -> np.ndarray:
@@ -221,61 +207,54 @@ def _match_rows(support, points, missing=AbsoluteContinuityError) -> np.ndarray:
     return order[pos]
 
 
-def _density(nu: DiscreteMeasure, mu: DiscreteMeasure, rows: np.ndarray) -> np.ndarray:
-    return np.bincount(rows, nu.weights / mu.weights[rows], mu.support_size)
-
-
 def radon_nikodym(nu: DiscreteMeasure, mu: DiscreteMeasure) -> np.ndarray:
-    """Density d(nu)/d(mu) aligned with mu.points; zero off the support of nu."""
+    """Density d(nu)/d(mu) over all of mu.points, zero off nu: a family density in dense form."""
     if nu.dimension != mu.dimension:
         raise ValidationError("measures must share one dimension")
-    return _density(nu, mu, _match_rows(mu.points, nu.points))
+    rows = _match_rows(mu.points, nu.points)
+    return np.bincount(rows, nu.weights / mu.weights[rows], mu.support_size)
 
 
 @dataclass(frozen=True, eq=False)
 class MeasureFamily:
-    members: tuple
-    dominating: DiscreteMeasure
-    densities: tuple
-    rows: tuple = field(init=False, repr=False)  # each member's dominating rows, each once
-    _rows: InitVar[list | None] = None  # the rows that from_members already found
+    """Member measures, and their dominating measure mu, rows and densities, all derived.
 
-    def __post_init__(self, _rows):
+    ``rows[i]`` are member i's rows of mu, each once and increasing, and
+    ``densities[i]`` is d(nu_i)/d(mu) on those rows only (0 off them);
+    ``radon_nikodym(nu_i, mu)`` gives the dense form over all of mu.
+    """
+    members: tuple
+    dominating: DiscreteMeasure = field(init=False)
+    rows: tuple = field(init=False, repr=False)
+    densities: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
         members = tuple(self.members)
-        densities = tuple(np.asarray(d, dtype=np.float64) for d in self.densities)
-        if len(members) == 0 or len(members) != len(densities):
-            raise ValidationError("family needs matching members and densities")
-        mu = self.dominating
-        if any(nu.dimension != mu.dimension for nu in members):
-            raise AbsoluteContinuityError("member support escapes the dominating measure")
-        found = _rows or [_match_rows(mu.points, nu.points) for nu in members]
-        rows = []
-        for nu, dens, j in zip(members, densities, found):
-            if dens.shape != (mu.support_size,):
-                raise ValidationError("density must align with the dominating support")
-            if np.any(dens < 0.0) or np.any(~np.isfinite(dens)):
-                raise ValidationError("densities must be finite and nonnegative")
-            j, inv = np.unique(j, return_inverse=True)  # a repeated point's mass is its total
-            mass = np.bincount(inv, nu.weights)
-            if np.any(np.abs(mass - dens[j] * mu.weights[j])
-                      > _DENSITY_RTOL * np.maximum(mass, 1e-300)):
-                raise ValidationError("density does not reproduce the member mass")
-            if np.any(np.delete(dens, j)):
-                raise ValidationError("density must vanish off the member's support")
-            rows.append(j)
-        for d in densities:
-            d.setflags(write=False)
+        if not members:
+            raise ValidationError("need at least one member measure")
+        if len({m.dimension for m in members}) != 1:
+            raise ValidationError("member measures must share one dimension")
+        # one sort of all member points gives mu and each member's rows of it
+        mu, found = _canonical(np.concatenate([m.points for m in members]),
+                               np.concatenate([m.weights / len(members) for m in members]))
+        ends = np.cumsum([m.support_size for m in members])[:-1]
+        rows, densities = [], []
+        for nu, j in zip(members, np.split(found, ends)):
+            if np.any(j < 0):
+                raise AbsoluteContinuityError("a member point has no dominating mass")
+            unique, inv = np.unique(j, return_inverse=True)  # a repeated point's mass is its total
+            rows.append(unique)
+            densities.append(np.bincount(inv, nu.weights / mu.weights[j]))
+        for a in rows + densities:
+            a.setflags(write=False)
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "densities", densities)
+        object.__setattr__(self, "dominating", mu)
         object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "densities", tuple(densities))
 
     @classmethod
     def from_members(cls, members) -> "MeasureFamily":
-        members = tuple(members)
-        mu, rows = _dominating_with_rows(members)
-        if any(np.any(j < 0) for j in rows):
-            raise AbsoluteContinuityError("a member point has no dominating mass")
-        return cls(members, mu, tuple(_density(nu, mu, j) for nu, j in zip(members, rows)), rows)
+        return cls(members)
 
     @property
     def size(self) -> int:
@@ -287,8 +266,13 @@ class MeasureFamily:
 
         mu = self.dominating
         return np.array([gauge_norm(psi, DiscreteMeasure(mu.points[j], mu.weights[j]),
-                                    FunctionTable.from_values(d[j]), tol=tol).value
+                                    FunctionTable.from_values(d), tol=tol).value
                          for d, j in zip(self.densities, self.rows)])
+
+    def integrals(self, g) -> np.ndarray:
+        """Each member's integral of g, given on mu's support: sum of d * g * mu on its rows."""
+        weighted = np.asarray(g, dtype=np.float64) * self.dominating.weights
+        return np.array([d @ weighted[j] for d, j in zip(self.densities, self.rows)])
 
 
 @dataclass(frozen=True)

@@ -366,6 +366,19 @@ def test_norm_tolerance_range(tol, code):
     assert err.count("\n") == (code != 0)
 
 
+@pytest.mark.parametrize("phi", ["entropy", "exp_minus_linear", "power:2"])
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_norm_far_out_of_scale_is_refused_by_the_bracketing(phi, scale):
+    # every row keeps a finite positive norm, so the bracketing, not a 0 or
+    # an overflow, answers; it runs out of halving or doubling steps
+    mu = {"dim": 1, "points": [[0.0], [1.0], [2.0], [3.0]], "weights": [0.25] * 4}
+    table = {"values": [[scale * k] for k in (1.0, 2.0, 3.0, 4.0)]}
+    code, err = _cli(["norm", f"--phi={phi}", "--measure", "{dir}/mu.json", "--f", "{dir}/f.json"],
+                     [("mu.json", mu), ("f.json", table)])
+    steps = "halving" if scale < 1.0 else "doubling"
+    assert (code, err) == (2, f"error: gauge norm bracketing ran out of {steps} steps\n")
+
+
 _GRID_SPECS = ("a:b:c", "1:2", "0.01:100:5", "1:0.5:5", "0:1:5", "-1:1:5", "1:inf:5",
                "nan:1:5", "0.1:1:1", "0.1:1:x", "0.1:1:3.5", "1e-300:1:4", "0.01:1e300:4", "")
 _GRID_BOUND = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(("x", "-0"))

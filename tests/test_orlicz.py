@@ -1,4 +1,6 @@
 """Modulars, gauge norms and the generalized Hölder inequality."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from orlicz_uat import (FunctionTable, ValidationError, complementary, entropy,
                         gauge_norm, holder_check, l1_norm, make_discrete,
                         modular, power)
+from orlicz_uat.orlicz import _point_norms
 
 
 def two_point_setup():
@@ -147,6 +150,28 @@ def test_power_gauge_closed_form_matches_bisection(p, scale, exponent, seed):
     assert abs(result.value - _bisected_norm(phi, mu, f)) <= 1e-9 * result.value
     assert modular(phi, mu, f, k_hi) <= 1.0 <= modular(phi, mu, f, k_lo)
     assert k_hi - k_lo <= tol * result.value
+
+
+_ENTRY = (st.sampled_from((0.0, -0.0)) | st.floats(0.1, 10.0) | st.floats(-10.0, -0.1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-300, 300), st.integers(1, 3).flatmap(lambda c: st.lists(
+    st.lists(_ENTRY, min_size=c, max_size=c), min_size=1, max_size=8)))
+def test_point_norms_over_the_whole_double_range(exponent, rows):
+    # no row is squared, so a nonzero row keeps a finite positive norm at any scale
+    unit = np.array(rows)
+    table = FunctionTable.from_values(unit * 10.0 ** exponent)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = _point_norms(table, "euclidean")
+    nonzero = np.any(unit != 0.0, axis=1)
+    assert np.all(np.isfinite(norms)) and np.all(norms[nonzero] > 0.0)
+    assert not np.any(norms[~nonzero])
+    if unit.shape[1] == 1:
+        assert norms.tobytes() == np.abs(table.values[:, 0]).tobytes()
+    expected = np.linalg.norm(unit, axis=1) * 10.0 ** exponent
+    assert np.allclose(norms, expected, rtol=1e-15, atol=0.0)
 
 
 def test_gauge_norm_vector_norm_choices():

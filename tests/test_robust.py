@@ -102,6 +102,22 @@ def test_verify_bound_zero_residual():
     assert report.bound_holds
 
 
+def test_verify_bound_cross_checks_each_member_through_its_density():
+    # the change-of-measure check integrates through the densities and
+    # compares each member with its direct error, so a density a part in
+    # 1e9 off is refused
+    pts = [[0.0], [1.0]]
+    family = MeasureFamily.from_members([make_discrete(pts, [0.2, 0.8]),
+                                         make_discrete(pts, [0.9, 0.1])])
+    phi = power(2.0, 0.5)
+    f = from_table(family.dominating, [2.0, -1.0])
+    assert verify_robust_bound(family, phi, phi, f, zero_network(1, 1)).bound_holds
+    first, second = family.densities
+    object.__setattr__(family, "densities", (first, second * (1.0 + 1e-9)))
+    with pytest.raises(OrliczError, match="change-of-measure"):
+        verify_robust_bound(family, phi, phi, f, zero_network(1, 1))
+
+
 def test_verify_bound_random_sweep():
     rng = np.random.default_rng(29)
     phi = power(2.0, 0.5)
