@@ -37,7 +37,7 @@ class AbsoluteContinuityError(OrliczError):
 
 
 class BracketingError(OrliczError):
-    """Geometric bracketing exhausted its doubling/halving budget."""
+    """A gauge norm lies outside the range of normal doubles."""
 
 
 class FitSolverError(OrliczError):

@@ -261,13 +261,12 @@ class MeasureFamily:
         return len(self.members)
 
     def density_norms(self, psi: YoungFunction, tol: float) -> np.ndarray:
-        """Each density's psi gauge norm on its member's rows, off which it is 0 and phi(0) = 0."""
-        from .orlicz import FunctionTable, gauge_norm
+        """Every density's psi gauge norm on its member's rows (psi(0) = 0), in one solve."""
+        from .orlicz import _gauge_solve
 
-        mu = self.dominating
-        return np.array([gauge_norm(psi, DiscreteMeasure(mu.points[j], mu.weights[j]),
-                                    FunctionTable.from_values(d), tol=tol).value
-                         for d, j in zip(self.densities, self.rows)])
+        w = [self.dominating.weights[j] for j in self.rows]
+        return _gauge_solve(psi, np.concatenate(self.densities), np.concatenate(w),
+                            [j.size for j in self.rows], tol)[1]
 
     def integrals(self, g) -> np.ndarray:
         """Each member's integral of g, given on mu's support: sum of d * g * mu on its rows."""
@@ -289,10 +288,10 @@ def default_psi_candidates() -> list[YoungFunction]:
 def dlvp_certificate(family: MeasureFamily, psi_candidates=None) -> DlvpCertificate:
     """The first candidate psi, with its member density gauge norms and their supremum.
 
-    A gauge norm on a finite support is always finite (the bracketing raises
-    before it diverges), so the first candidate always certifies.  The norms,
-    each on its member's rows, are resolved to the pipeline's gauge tolerance,
-    so ``verify_robust_bound`` may take them from the certificate.
+    A gauge norm on a finite support is finite, so the first candidate always
+    certifies (a norm past the double range raises BracketingError).  The norms
+    are resolved to the pipeline's gauge tolerance in one solve, each on its
+    member's rows, so ``verify_robust_bound`` may take them from the certificate.
 
     Every candidate must be an N-function; cataloged kinds are checked
     structurally and power with p = 1 is refused.

@@ -71,8 +71,11 @@ def associated_young_pair(family: MeasureFamily, psi_candidates=None):
 
 
 def robust_error(family: MeasureFamily, f: TargetFunction, eta):
-    """Per-member L1 errors of f - eta and their supremum."""
-    per = np.array([l1_norm(nu, residual_table(f, eta, nu)) for nu in family.members])
+    """Per-member L1 errors of f - eta, each on its own points, and their supremum."""
+    points = np.concatenate([nu.points for nu in family.members])  # f and eta evaluated once
+    resid = np.split(f.evaluate(points) - eta.evaluate_batch(points),
+                     np.cumsum([nu.support_size for nu in family.members])[:-1])
+    per = np.array([l1_norm(nu, FunctionTable(r)) for nu, r in zip(family.members, resid)])
     return per, float(np.max(per))
 
 

@@ -332,24 +332,27 @@ _PSIS = {"power": power(1.5, 2.0 / 3.0), "exp_minus_linear": exp_minus_linear(),
          "entropy": entropy(), "tabulated": tabulated([0.0, 1.0, 2.0, 4.0], [0.0, 0.5, 2.0, 8.0])}
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 2).flatmap(lambda d: st.lists(st.lists(
-    st.tuples(st.tuples(*[st.sampled_from((-1.0, -0.0, 0.0, 0.25, 0.5, 2.0))] * d),
-              st.floats(1e-3, 1.0)), min_size=1, max_size=12), min_size=1, max_size=5)),
-       st.sampled_from(sorted(_PSIS)))
-def test_density_norms_on_member_rows_equal_the_full_support_norms(drawn, kind):
-    family = MeasureFamily.from_members([make_discrete([p for p, _ in m], [x for _, x in m])
-                                         for m in drawn])
+@settings(max_examples=150, deadline=None)
+@given(raw_members(), st.sampled_from(sorted(_PSIS)))
+def test_density_norms_on_member_rows_equal_the_full_support_norms(members, kind):
+    # one batched solve over every member's rows, against one gauge_norm of
+    # each dense density; members may repeat a point and hold massless ones
+    try:
+        family = MeasureFamily.from_members(members)
+    except (AbsoluteContinuityError, ValidationError):
+        return
     mu = family.dominating
     for nu, j in zip(family.members, family.rows):
-        assert j.tolist() == measure._match_rows(mu.points, nu.points).tolist()
-    # resolved far below the comparison, so a bisection step that the summation
-    # order flips moves a norm by less than the tolerance asked for
-    restricted = family.density_norms(_PSIS[kind], 1e-15)
-    for nu, norm in zip(family.members, restricted):
-        dense = FunctionTable.from_values(radon_nikodym(nu, mu))
-        full = gauge_norm(_PSIS[kind], mu, dense, tol=1e-15).value
-        assert abs(norm - full) <= 1e-12 * full
+        assert j.tolist() == np.unique(measure._match_rows(mu.points, nu.points)).tolist()
+    # within the pipeline's tolerance, and within 1e-12 when resolved far finer,
+    # where only the two summation orders part them
+    for tol, rtol in ((1e-10, 1e-10), (1e-15, 1e-12)):
+        batched = family.density_norms(_PSIS[kind], tol)
+        for nu, norm in zip(family.members, batched):
+            dense = FunctionTable.from_values(radon_nikodym(nu, mu))
+            full = gauge_norm(_PSIS[kind], mu, dense, tol=tol).value
+            assert abs(norm - full) <= rtol * full
+            assert (norm == 0.0) == (nu.total_mass == 0.0)
 
 
 def test_family_takes_a_repeated_member_point_once_with_its_total_mass():

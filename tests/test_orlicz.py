@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orlicz_uat import (FunctionTable, ValidationError, complementary, entropy,
-                        gauge_norm, holder_check, l1_norm, make_discrete,
-                        modular, power)
+                        exp_minus_linear, gauge_norm, holder_check, l1_norm,
+                        make_discrete, modular, power, tabulated)
 from orlicz_uat.orlicz import _point_norms
 
 
@@ -150,6 +150,45 @@ def test_power_gauge_closed_form_matches_bisection(p, scale, exponent, seed):
     assert abs(result.value - _bisected_norm(phi, mu, f)) <= 1e-9 * result.value
     assert modular(phi, mu, f, k_hi) <= 1.0 <= modular(phi, mu, f, k_lo)
     assert k_hi - k_lo <= tol * result.value
+
+
+_YOUNG = {"power": power(1.5, 2.0 / 3.0), "power3": power(3.0), "entropy": entropy(),
+          "exp_minus_linear": exp_minus_linear(),
+          "tabulated": tabulated([0.0, 1.0, 2.0, 4.0], [0.0, 0.5, 2.0, 8.0])}
+
+
+def _random_table(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    mu = make_discrete(rng.uniform(size=(n, 1)), rng.uniform(0.05, 1.0, size=n))
+    return mu, rng.uniform(-1.0, 1.0, size=(mu.support_size, int(rng.integers(1, 3))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_YOUNG)), st.floats(-200.0, 200.0), st.integers(0, 2**16))
+def test_gauge_norm_is_homogeneous_over_the_double_range(kind, exponent, seed):
+    mu, values = _random_table(seed)
+    c = 10.0 ** exponent
+    base = gauge_norm(_YOUNG[kind], mu, FunctionTable(values)).value
+    scaled = gauge_norm(_YOUNG[kind], mu, FunctionTable(c * values)).value
+    assert abs(scaled - c * base) <= 1e-9 * (c * base)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_YOUNG)), st.floats(-200.0, 200.0),
+       st.sampled_from((1e-3, 1e-10, 1e-13)), st.integers(0, 2**16))
+def test_gauge_norm_bracket_is_sound_at_any_scale(kind, exponent, tol, seed):
+    # the stop test is relative, so a norm far below 1 is resolved as finely
+    # as one near 1; the one-table solve sums its modular as modular does, so
+    # these comparisons hold exactly
+    mu, values = _random_table(seed)
+    phi = _YOUNG[kind]
+    f = FunctionTable(10.0 ** exponent * values)
+    result = gauge_norm(phi, mu, f, tol=tol)
+    k_lo, k_hi = result.bracket
+    assert result.value == k_hi
+    assert result.modular_at_value == modular(phi, mu, f, k_hi) <= 1.0 < modular(phi, mu, f, k_lo)
+    assert k_hi - k_lo <= tol * k_hi
 
 
 _ENTRY = (st.sampled_from((0.0, -0.0)) | st.floats(0.1, 10.0) | st.floats(-10.0, -0.1))
