@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _parsed
+from .errors import ValidationError, _frozen, _parsed
 
 
 @dataclass(frozen=True, eq=False)
@@ -22,10 +22,8 @@ class Box:
             raise ValidationError("box bounds must be finite")
         if np.any(lo > hi):
             raise ValidationError("box lower bounds must not exceed upper bounds")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo", _frozen(lo, self.lo))
+        object.__setattr__(self, "hi", _frozen(hi, self.hi))
 
     @property
     def dim(self) -> int:

@@ -1,6 +1,8 @@
 """Exception types shared across the library, and checked parsing of input."""
 import operator
 
+import numpy as np
+
 
 class OrliczError(Exception):
     """Base class for every error raised by this package."""
@@ -18,6 +20,14 @@ def _parsed(key: str, convert, value):
         raise
     except (TypeError, ValueError, KeyError, OverflowError):
         raise ValidationError(f"bad value for {key}: {value!r:.80}") from None
+
+
+def _frozen(arr: np.ndarray, given) -> np.ndarray:
+    """arr made read-only, copied first if it may share memory with given, the caller's array."""
+    if np.may_share_memory(arr, given):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
 
 
 def _count(value) -> int:

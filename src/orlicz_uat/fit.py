@@ -139,15 +139,14 @@ def _support_box(mu: DiscreteMeasure):
 def draw_features(dim: int, width: int, seed: int, lo, hi, start: int = 0):
     """Standard normal weights; each kink anchored uniformly inside [lo, hi].
 
-    Feature k is drawn from child stream k of the seed, so widening the
-    draw extends it without disturbing earlier features.  Returns features
-    start..width-1.
+    Feature k is drawn from child k of the seed, ``SeedSequence(seed).spawn(n)[k]``
+    for any n > k, so widening the draw extends it without disturbing earlier
+    features.  Returns features start..width-1.
     """
     W = np.empty((width - start, dim))
     b = np.empty(width - start)
-    children = np.random.SeedSequence(seed).spawn(width)
     for row, k in enumerate(range(start, width)):
-        rng = np.random.default_rng(children[k])
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         W[row] = rng.standard_normal(dim)
         anchor = rng.uniform(lo, hi)
         b[row] = -float(W[row] @ anchor)
@@ -231,7 +230,7 @@ class FeatureCache:
             raise FitSolverError(f"singular normal equations ({exc})") from None
         readout = coef[:width].T
         bias = coef[width]
-        hidden = Layer(self._W[:width].copy(), self._b[:width].copy(), self.activation)
+        hidden = Layer(self._W[:width], self._b[:width], self.activation)
         return Network((hidden, Layer(readout, bias, "none")))
 
     def predict(self, net: Network) -> np.ndarray:

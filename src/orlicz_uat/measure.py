@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .box import Box
-from .errors import AbsoluteContinuityError, ValidationError, _parsed
+from .errors import AbsoluteContinuityError, ValidationError, _frozen, _parsed
 from .young import YoungFunction, entropy, is_structural_n_function, power
 
 
@@ -40,11 +40,8 @@ class DiscreteMeasure:
             raise ValidationError("support points must be finite")
         if not np.all(np.isfinite(w)) or np.any(w < 0.0):
             raise ValidationError("weights must be finite and nonnegative")
-        pts = np.ascontiguousarray(pts)
-        pts.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "points", _frozen(np.ascontiguousarray(pts), self.points))
+        object.__setattr__(self, "weights", _frozen(w, self.weights))
 
     @property
     def dimension(self) -> int:

@@ -26,10 +26,13 @@ output g_j by
 which equals the clip of g_j to [c, C] on J and vanishes identically outside
 K, regardless of how the carried values degrade beyond the declared box.
 
-A network evaluates its input in blocks of rows, each layer computed in
-place in the block's own buffer, so it holds one block's activations at a
-time.  The last block takes the remainder, as BLAS rounds a product of a few
-rows with other kernels, so on one BLAS thread no row depends on the blocking.
+A network evaluates its input in row blocks carried feature-major, as
+(width x rows) arrays: a layer is one A @ Z and one bias add along the rows,
+in place, so it holds one block's activations at a time.  The last block
+takes the remainder, as BLAS rounds a product of a few columns with other
+kernels, and a block is padded to a multiple of _ROW_PAD rows, as BLAS may
+round a product's last rows with an edge kernel (OpenBLAS does past 1e6
+multiply-adds).  So on one BLAS thread no row depends on the blocking.
 """
 from __future__ import annotations
 
@@ -40,11 +43,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .box import Box
-from .errors import OrliczError, ValidationError, _parsed
+from .errors import OrliczError, ValidationError, _frozen, _parsed
 
 _HIDDEN_ACTS = ("relu", "sigmoid", "tanh", "identity")
 _OUTPUT_ACT = "none"
 _ROW_BLOCK = 4096  # rows per block of a network evaluation and of a feature cache's growth
+_ROW_PAD = 64  # a multiple of the row unrolling of common BLAS kernels
 # a written network may depart from the values it must reproduce by at most
 # this fraction of their largest magnitude, at least 1
 _AGREEMENT_TOL = 1e-9
@@ -82,11 +86,8 @@ class Layer:
             raise ValidationError("layer weights must be finite")
         if self.act not in _HIDDEN_ACTS and self.act != _OUTPUT_ACT:
             raise ValidationError(f"unknown activation {self.act!r}")
-        A = np.ascontiguousarray(A)
-        A.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "A", _frozen(np.ascontiguousarray(A), self.A))
+        object.__setattr__(self, "b", _frozen(b, self.b))
 
     @property
     def out_dim(self) -> int:
@@ -135,12 +136,13 @@ class Network:
         out = np.empty((n, self.output_dim))
         stops = [*range(_ROW_BLOCK, n - _ROW_BLOCK + 1, _ROW_BLOCK), n]  # the last takes the rest
         for start, stop in zip([0, *stops], stops):
-            z = X[start:stop]
+            rows = stop - start  # padded by repeating rows: no point the caller did not pass
+            z = np.resize(X[start:stop], (-(-rows // _ROW_PAD) * _ROW_PAD, X.shape[1])).T
             for lay in self.layers:
-                z = z @ lay.A.T
-                z += lay.b
+                z = lay.A @ z
+                z += lay.b[:, None]
                 z = _apply_activation(lay.act, z)
-            out[start:stop] = z
+            out[start:stop] = z[:, :rows].T
         return out
 
     def evaluate(self, x) -> np.ndarray:
@@ -426,7 +428,7 @@ def to_register_form(shallow: Network, box: Box):
         raise ValidationError("declared box dimension disagrees with the network")
     m = hid.out_dim
     if m == 0:
-        return Network((Layer(np.zeros((n_out, n_in)), out.b.copy(), _OUTPUT_ACT),))
+        return Network((Layer(np.zeros((n_out, n_in)), out.b, _OUTPUT_ACT),))
     W1, b1, W2, b2 = hid.A, hid.b, out.A, out.b
     bld = _RegisterBuilder(n_in, n_out, box)
     L = bld.layout
@@ -563,8 +565,7 @@ class AffineMap:
         a = np.atleast_1d(np.asarray(self.a, dtype=np.float64))
         if a.ndim != 1 or not np.all(np.isfinite(a)) or not math.isfinite(self.b):
             raise ValidationError("affine map needs finite coefficients")
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _frozen(a, self.a))
         object.__setattr__(self, "b", float(self.b))
 
     def __call__(self, X: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketingError, ValidationError, _parsed
+from .errors import BracketingError, ValidationError, _frozen, _parsed
 from .measure import DiscreteMeasure
 from .young import POWER, YoungFunction
 
@@ -43,9 +43,7 @@ class FunctionTable:
             raise ValidationError("a table needs a nonempty 1-d or 2-d value array")
         if not np.all(np.isfinite(v)):
             raise ValidationError("table values must be finite")
-        v = np.ascontiguousarray(v)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(np.ascontiguousarray(v), self.values))
 
     @property
     def length(self) -> int:

@@ -104,6 +104,22 @@ def test_feature_draw_prefix_property():
     assert b16[:8].tolist() == b8.tolist()
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**63 - 1), st.integers(1, 3), st.integers(1, 40), st.data())
+def test_feature_draw_is_the_spawned_child_stream(seed, dim, width, data):
+    # oracle: spawn all width children, then draw feature k from child k
+    start = data.draw(st.integers(0, width - 1))
+    lo, hi = np.zeros(dim), np.arange(1.0, dim + 1.0)
+    children = np.random.SeedSequence(seed).spawn(width)
+    W_want, b_want = np.empty((width - start, dim)), np.empty(width - start)
+    for row, k in enumerate(range(start, width)):
+        rng = np.random.default_rng(children[k])
+        W_want[row] = rng.standard_normal(dim)
+        b_want[row] = -float(W_want[row] @ rng.uniform(lo, hi))
+    W, b = draw_features(dim, width, seed, lo, hi, start=start)
+    assert np.array_equal(W, W_want) and np.array_equal(b, b_want)
+
+
 def test_fit_determinism_bitwise():
     mu = uniform_support(64, seed=11)
     f = sin_product()

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orlicz_uat import (AbsoluteContinuityError, Box, DiscreteMeasure, FunctionTable,
-                        MeasureFamily, ValidationError, default_psi_candidates,
+from orlicz_uat import (AbsoluteContinuityError, AffineMap, Box, DiscreteMeasure,
+                        FunctionTable, Layer, MeasureFamily, ValidationError,
+                        default_psi_candidates,
                         dlvp_certificate, dominating_measure, entropy,
                         exp_minus_linear, gauge_norm, make_discrete, measure, power,
                         radon_nikodym, sample_empirical, tabulated)
@@ -24,6 +25,31 @@ def test_box_validation_and_queries():
         Box(np.array([1.0]), np.array([0.0]))
     with pytest.raises(ValidationError):
         Box([], [])
+
+
+_CONSTRUCTORS = {  # the caller's array, and what a constructor keeps of it
+    "measure points": ([[0.0], [1.0]], lambda a: DiscreteMeasure(a, np.ones(2)).points),
+    "1-d measure points": ([0.0, 1.0], lambda a: DiscreteMeasure(a, np.ones(2)).points),
+    "measure weights": ([1.0, 2.0], lambda a: DiscreteMeasure(np.zeros((2, 1)), a).weights),
+    "layer matrix": ([[1.0, 2.0]], lambda a: Layer(a, np.zeros(1), "relu").A),
+    "layer bias": ([1.0], lambda a: Layer(np.zeros((1, 2)), a, "relu").b),
+    "table values": ([[1.0], [2.0]], lambda a: FunctionTable(a).values),
+    "1-d table values": ([1.0, 2.0], lambda a: FunctionTable(a).values),
+    "box bounds": ([0.0, 1.0], lambda a: Box(a, np.full(2, 2.0)).lo),
+    "affine map": ([1.0, 2.0], lambda a: AffineMap(a, 0.0).a),
+    "tabulated grid": ([0.0, 1.0, 2.0], lambda a: tabulated(a, [0.0, 1.0, 3.0]).grid),
+}
+
+
+@pytest.mark.parametrize("name", _CONSTRUCTORS)
+def test_constructors_keep_their_own_copy_of_the_callers_array(name):
+    values, construct = _CONSTRUCTORS[name]
+    given = np.array(values)
+    kept = construct(given)
+    want = kept.copy()
+    assert given.flags.writeable and not kept.flags.writeable
+    given += 1.0
+    assert np.array_equal(kept, want)
 
 
 def test_box_enlarged_and_covers():

@@ -33,10 +33,16 @@ def relu_pair_identity():
 
 
 def _one_product(net: Network, X: np.ndarray) -> np.ndarray:
-    """Every layer over all rows at once, the sigmoid as 1 / (1 + exp(-z))."""
-    z = X
+    """Every layer over all rows at once, feature-major, the sigmoid as 1 / (1 + exp(-z)).
+
+    The rows are padded with zeros to a multiple of 64: BLAS computes a
+    product's last rows with an edge kernel of its own (OpenBLAS does above
+    1e6 multiply-adds), so unpadded, the one product itself rounds its last
+    rows by the row count.
+    """
+    z = np.concatenate([X, np.zeros((-len(X) % 64, X.shape[1]))]).T
     for lay in net.layers:
-        z = z @ lay.A.T + lay.b
+        z = lay.A @ z + lay.b[:, None]
         if lay.act == "relu":
             z = np.maximum(z, 0.0)
         elif lay.act == "sigmoid":
@@ -44,20 +50,13 @@ def _one_product(net: Network, X: np.ndarray) -> np.ndarray:
                 z = 1.0 / (1.0 + np.exp(-z))
         elif lay.act == "tanh":
             z = np.tanh(z)
-    return z
+    return z.T[:len(X)]
 
 
 _BLOCK_ROWS = (0, 1, 4095, 4096, 4097, 2 * 4096 + 3)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 140), min_size=2, max_size=9),
-       st.lists(st.sampled_from(("relu", "sigmoid", "tanh", "identity")), min_size=7,
-                max_size=7),
-       st.sampled_from(_BLOCK_ROWS) | st.integers(0, 3 * 4096), st.floats(0.0, 3.0))
-def _blocked_is_the_one_product(seed, dims, acts, rows, decades):
-    # depth 1-8 and widths 1-140; inputs up to 1e3 push sigmoid arguments
-    # below -709, where exp(-z) overflows to inf and the sigmoid is exactly 0
+def _blocked_matches(seed, dims, acts, rows, decades):
     rng = np.random.default_rng(seed)
     layers = [Layer(rng.standard_normal((m, k)), rng.standard_normal(m), act)
               for k, m, act in zip(dims, dims[1:], acts)]
@@ -68,13 +67,38 @@ def _blocked_is_the_one_product(seed, dims, acts, rows, decades):
     assert np.array_equal(X, X_before)
 
 
+_ROWS = st.sampled_from(_BLOCK_ROWS) | st.integers(0, 3 * 4096)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 140), min_size=2, max_size=9),
+       st.lists(st.sampled_from(("relu", "sigmoid", "tanh", "identity")), min_size=7,
+                max_size=7),
+       _ROWS, st.floats(0.0, 3.0))
+def _blocked_is_the_one_product(seed, dims, acts, rows, decades):
+    # depth 1-8 and widths 1-140; inputs up to 1e3 push sigmoid arguments
+    # below -709, where exp(-z) overflows to inf and the sigmoid is exactly 0
+    _blocked_matches(seed, dims, acts, rows, decades)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 140),
+       st.lists(st.integers(1, 5), min_size=141, max_size=141),
+       st.lists(st.sampled_from(("relu", "identity")), min_size=140, max_size=140),
+       _ROWS, st.floats(0.0, 3.0))
+def _blocked_deep_narrow_is_the_one_product(seed, depth, widths, acts, rows, decades):
+    # the shape of a register network: depth 1-140, widths 1-5
+    _blocked_matches(seed, widths[:depth + 1], acts, rows, decades)
+
+
 def test_blocked_evaluation_is_the_one_product_bit_for_bit():
     # on one BLAS thread, in a fresh interpreter: a threaded BLAS splits the
     # rows of a matrix-vector product among its threads and rounds a row by
     # where the split falls, so even the one product then depends on the row count
     paths = [str(Path(__file__).resolve().parent), str(Path(orlicz_uat.__file__).parents[1])]
     probe = (f"import sys; sys.path[:0] = {paths!r}; import test_net; "
-             "test_net._blocked_is_the_one_product()")
+             "test_net._blocked_is_the_one_product(); "
+             "test_net._blocked_deep_narrow_is_the_one_product()")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr

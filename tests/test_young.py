@@ -3,8 +3,12 @@
 Oracle values are computed independently (closed forms or brute-force
 maximization) and frozen as literals where they are exact.
 """
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orlicz_uat import (UnboundedConjugateError, ValidationError,
                         YoungFunction, check_young_inequality, complementary,
@@ -29,6 +33,31 @@ def test_exp_minus_linear_evaluation():
     assert phi(0.0) == 0.0
     assert abs(phi(1.0) - (np.e - 2.0)) < 1e-15
     assert phi(-1.0) == phi(1.0)
+
+
+def _decimal_phi(kind: str, r: float) -> float:
+    """phi(r) to 50 digits, with enough extra digits to absorb its cancellation."""
+    d = Decimal(r)
+    with localcontext() as ctx:
+        ctx.prec = 50 + 2 * max(0, -d.adjusted())
+        if kind == "exp_minus_linear":
+            return float(d.exp() - d - 1)
+        return float((1 + d) * (1 + d).ln() - d)
+
+
+# below r = 1.5e-154 the true values are subnormal
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["exp_minus_linear", "entropy"]),
+       st.floats(1.5e-154, 1e6) | st.floats(-153.8, 6.0).map(lambda e: 10.0**e))
+def test_exp_minus_linear_and_entropy_are_accurate_near_zero(kind, r):
+    phi = exp_minus_linear() if kind == "exp_minus_linear" else entropy()
+    want = _decimal_phi(kind, r)
+    got = phi(np.array([r, -r]))
+    assert got[0] == got[1] == phi(r)
+    if np.isinf(want):  # exp(r) beyond the double range
+        assert np.isinf(got[0])
+    else:
+        assert abs(got[0] - want) <= 1e-14 * want
 
 
 def test_evaluate_is_even_and_zero_at_zero():
