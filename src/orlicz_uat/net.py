@@ -285,42 +285,26 @@ def _affine_bounds(row: np.ndarray, const: float, lo: np.ndarray, hi: np.ndarray
 
 
 class _RegisterBuilder:
-    """Layer-by-layer assembly of a fixed-width register network.
+    """Layer-by-layer extension of a fixed-width register network.
 
     Semantic state: one value per channel of the layout, recovered from the
     latest unit vector u as  s = M @ u + c.  Hidden units are always relu;
     identity carries add an interval-derived offset N so the pre-activation
-    stays positive on the declared box.
+    stays positive on the declared box.  A register that a layer neither
+    reads nor zeroes keeps its value: unless it is identically zero, the
+    layer carries it after its own units, in register order.
     """
 
-    def __init__(self, n_in: int, n_out: int, box: Box):
-        if box.dim != n_in:
-            raise ValidationError("declared box dimension disagrees with n_in")
-        self.layout = RegisterLayout.for_dims(n_in, n_out)
-        self.box = box
-        W = self.layout.width
-        self.W = W
-        self.layers: list[Layer] = []
-        self.M = np.zeros((W, n_in))
-        self.M[:n_in, :n_in] = np.eye(n_in)
-        self.c = np.zeros(W)
-        self.lo = np.concatenate([box.lo, np.zeros(W - n_in)])
-        self.hi = np.concatenate([box.hi, np.zeros(W - n_in)])
+    def __init__(self, reg: "RegisterNetwork"):
+        self.layout = reg.layout
+        self.box = reg.box
+        self.W = reg.layout.width
+        self.layers: list[Layer] = list(reg.network.layers[:-1])
+        self.M = reg.read_M
+        self.c = reg.read_c
+        self.lo = reg.sem_lo
+        self.hi = reg.sem_hi
         self._units = None
-
-    @classmethod
-    def resume(cls, reg: "RegisterNetwork") -> "_RegisterBuilder":
-        b = cls.__new__(cls)
-        b.layout = reg.layout
-        b.box = reg.box
-        b.W = reg.layout.width
-        b.layers = list(reg.network.layers[:-1])
-        b.M = reg.read_M.copy()
-        b.c = reg.read_c.copy()
-        b.lo = reg.sem_lo.copy()
-        b.hi = reg.sem_hi.copy()
-        b._units = None
-        return b
 
     def begin_layer(self):
         self._units = []
@@ -342,46 +326,47 @@ class _RegisterBuilder:
     def read_zero(self, slot: int):
         self._reads[slot] = ({}, 0.0)
 
-    def carry_expr(self, slot: int, coeffs: dict, const: float = 0.0) -> int:
-        row = self._vec(coeffs)
-        lo, _ = _affine_bounds(row, const, self.lo, self.hi)
-        N = 1.0 + max(0.0, -lo)
-        u = self.unit(coeffs, const + N)
-        self.read(slot, {u: 1.0}, -N)
-        return u
+    def carry(self, slot: int, coeffs: dict | None = None, const: float = 0.0):
+        """Store coeffs . registers + const (default: the slot's own value) in slot.
 
-    def carry(self, slot: int) -> int:
-        return self.carry_expr(slot, {slot: 1.0})
+        An identically zero value takes no unit: the slot is read as zero.
+        """
+        coeffs = {slot: 1.0} if coeffs is None else coeffs
+        if const == 0.0 and not any(self.M[t].any() or self.c[t] != 0.0 for t in coeffs):
+            self.read_zero(slot)
+            return
+        lo, _ = _affine_bounds(self._vec(coeffs), const, self.lo, self.hi)
+        N = 1.0 + max(0.0, -lo)
+        self.read(slot, {self.unit(coeffs, const + N): 1.0}, -N)
 
     def end_layer(self):
         W = self.W
+        for slot in range(W):
+            if slot not in self._reads:
+                self.carry(slot)
         if len(self._units) > W:
             raise ValidationError("register layer exceeded its width budget")
-        units = list(self._units)
-        while len(units) < W:
-            units.append((np.zeros(W), 0.0))
-        Csem = np.vstack([row for row, _ in units])
-        dsem = np.array([cv for _, cv in units])
-        A = Csem @ self.M
-        b = Csem @ self.c + dsem
-        self.layers.append(Layer(A, b, "relu"))
+        Csem = np.zeros((W, W))
+        dsem = np.zeros(W)
         post_lo = np.zeros(W)
         post_hi = np.zeros(W)
-        for j, (row, cv) in enumerate(units):
+        for j, (row, cv) in enumerate(self._units):
+            Csem[j] = row
+            dsem[j] = cv
             lo, hi = _affine_bounds(row, cv, self.lo, self.hi)
             post_lo[j] = max(lo, 0.0)
             post_hi[j] = max(hi, 0.0)
+        A = Csem @ self.M
+        b = Csem @ self.c + dsem
+        self.layers.append(Layer(A, b, "relu"))
         M2 = np.zeros((W, W))
         c2 = np.zeros(W)
         lo2 = np.zeros(W)
         hi2 = np.zeros(W)
         for slot, (ucoeffs, const) in self._reads.items():
-            row = np.zeros(W)
-            for u, cv in ucoeffs.items():
-                row[u] = cv
-            M2[slot] = row
+            M2[slot] = self._vec(ucoeffs)
             c2[slot] = const
-            lo2[slot], hi2[slot] = _affine_bounds(row, const, post_lo, post_hi)
+            lo2[slot], hi2[slot] = _affine_bounds(M2[slot], const, post_lo, post_hi)
         self.M, self.c, self.lo, self.hi = M2, c2, lo2, hi2
         self._units = None
 
@@ -389,9 +374,7 @@ class _RegisterBuilder:
         slots = list(self.layout.output_registers)
         proj = Layer(self.M[slots], self.c[slots], _OUTPUT_ACT)
         net = Network(tuple(self.layers) + (proj,))
-        return RegisterNetwork(net, self.layout, self.box,
-                               self.M.copy(), self.c.copy(),
-                               self.lo.copy(), self.hi.copy())
+        return RegisterNetwork(net, self.layout, self.box, self.M, self.c, self.lo, self.hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,29 +412,30 @@ def to_register_form(shallow: Network, box: Box):
     m = hid.out_dim
     if m == 0:
         return Network((Layer(np.zeros((n_out, n_in)), out.b, _OUTPUT_ACT),))
-    W1, b1, W2, b2 = hid.A, hid.b, out.A, out.b
-    bld = _RegisterBuilder(n_in, n_out, box)
-    L = bld.layout
-    for k in range(m):
+    W1, b1, b2 = hid.A, hid.b, out.b
+    # column k: the readout weight of the feature in the compute register at layer k
+    W2 = np.hstack([np.zeros((n_out, 1)), out.A])
+    L = RegisterLayout.for_dims(n_in, n_out)
+    comp = L.compute_index
+    pad = np.zeros(L.width - n_in)
+    empty = RegisterNetwork(zero_network(n_in, n_out), L, box, np.eye(L.width, n_in),
+                            np.zeros(L.width), np.concatenate([box.lo, pad]),
+                            np.concatenate([box.hi, pad]))
+    bld = _RegisterBuilder(empty)
+    for k in range(m + 1):
+        # feature k enters the compute register while the accumulators add
+        # feature k - 1 and, after the last feature, the readout bias
         bld.begin_layer()
         for s in L.input_registers:
             bld.carry(s)
         for j, s in enumerate(L.output_registers):
-            if k == 0:
-                bld.read_zero(s)
-            else:
-                bld.carry_expr(s, {s: 1.0, L.compute_index: W2[j, k - 1]})
-        u = bld.unit({L.input_registers[i]: W1[k, i] for i in range(n_in)}, b1[k])
-        bld.read(L.compute_index, {u: 1.0})
+            bld.carry(s, {s: 1.0, comp: W2[j, k]}, b2[j] if k == m else 0.0)
+        if k < m:
+            u = bld.unit({s: W1[k, i] for i, s in enumerate(L.input_registers)}, b1[k])
+            bld.read(comp, {u: 1.0})
+        else:
+            bld.read_zero(comp)
         bld.end_layer()
-    # fold the last feature and the readout bias into the accumulators
-    bld.begin_layer()
-    for s in L.input_registers:
-        bld.carry(s)
-    for j, s in enumerate(L.output_registers):
-        bld.carry_expr(s, {s: 1.0, L.compute_index: W2[j, m - 1]}, b2[j])
-    bld.read_zero(L.compute_index)
-    bld.end_layer()
     return bld.finalize()
 
 
@@ -477,7 +461,7 @@ def clip_and_localize(g: RegisterNetwork, J: Box, delta: float,
     K = J.enlarged(delta)
     if not g.box.covers(K):
         raise ValidationError("the declared box must contain the enlarged clip region")
-    bld = _RegisterBuilder.resume(g)
+    bld = _RegisterBuilder(g)
     L = bld.layout
     n_in = len(L.input_registers)
     comp = L.compute_index
@@ -488,12 +472,6 @@ def clip_and_localize(g: RegisterNetwork, J: Box, delta: float,
         bld.begin_layer()
         u1 = bld.unit({s: 1.0}, delta - a_i)
         u2 = bld.unit({s: 1.0}, -a_i)
-        for t in L.input_registers[i + 1:]:
-            bld.carry(t)
-        for t in L.input_registers[:i]:
-            bld.carry(t)
-        for t in L.output_registers:
-            bld.carry(t)
         bld.read(s, {u1: inv, u2: -inv})
         bld.read(comp, {u1: 1.0}, a_i - delta)
         bld.end_layer()
@@ -501,12 +479,6 @@ def clip_and_localize(g: RegisterNetwork, J: Box, delta: float,
         bld.begin_layer()
         w1 = bld.unit({s: 1.0, comp: inv}, -(b_i + delta) * inv)
         w2 = bld.unit({s: 1.0})
-        for t in L.input_registers[i + 1:]:
-            bld.carry(t)
-        for t in L.input_registers[:i]:
-            bld.carry(t)
-        for t in L.output_registers:
-            bld.carry(t)
         bld.read(s, {w2: 1.0, w1: -1.0})
         bld.read_zero(comp)
         bld.end_layer()
@@ -515,14 +487,9 @@ def clip_and_localize(g: RegisterNetwork, J: Box, delta: float,
         prev = L.input_registers[0] if k == 1 else comp
         vslot = L.input_registers[k]
         bld.begin_layer()
-        lo_prev, _ = _affine_bounds(bld._vec({prev: 1.0}), 0.0, bld.lo, bld.hi)
-        N = 1.0 + max(0.0, -lo_prev)
+        N = 1.0 + max(0.0, -bld.lo[prev])
         beta = bld.unit({prev: 1.0}, N)
         alpha = bld.unit({prev: 1.0, vslot: -1.0})
-        for t in L.input_registers[k + 1:]:
-            bld.carry(t)
-        for t in L.output_registers:
-            bld.carry(t)
         bld.read(comp, {beta: 1.0, alpha: -1.0}, -N)
         bld.read_zero(vslot)
         if prev != comp:
@@ -532,8 +499,6 @@ def clip_and_localize(g: RegisterNetwork, J: Box, delta: float,
     # clamp the minimum at zero; the result is the box profile V
     bld.begin_layer()
     gamma = bld.unit({source: 1.0})
-    for t in L.output_registers:
-        bld.carry(t)
     bld.read(comp, {gamma: 1.0})
     for t in L.input_registers:
         bld.read_zero(t)

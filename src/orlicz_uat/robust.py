@@ -37,8 +37,8 @@ import numpy as np
 from . import serialize
 from .box import Box
 from .errors import HypothesisViolation, OrliczError, ValidationError, _count, _parsed
-from .fit import (FeatureCache, TargetFunction, fit_random_features, make_target,
-                  residual_table)
+from .fit import (_FIT_ACTS, FeatureCache, TargetFunction, fit_random_features,
+                  make_target, residual_table)
 from .measure import (DiscreteMeasure, DlvpCertificate, MeasureFamily,
                       dlvp_certificate, sample_empirical)
 from .net import (Layer, Network, _apply_activation, _check_agreement, clip_and_localize,
@@ -251,6 +251,8 @@ def _validate_config(config: dict) -> dict:
     if not cfg["widths"] or not cfg["seeds"]:
         raise ValidationError("widths and seeds must be nonempty")
     cfg.setdefault("activation", _DEFAULT_ACTIVATION[cfg["case"]])
+    if cfg["activation"] not in _FIT_ACTS:
+        raise ValidationError(f"bad value for activation: {cfg['activation']!r:.80}")
     # the register rewrite of case ii enlarges the box by delta
     cfg["delta"] = _parsed("delta", _finite_positive, cfg.get("delta", 0.05))
     cfg["ridge"] = _parsed("ridge", float, cfg.get("ridge", 1e-10))
@@ -296,6 +298,8 @@ def _check_hypotheses(case: str, cfg: dict, family: MeasureFamily, f: TargetFunc
                                       "no declared bound and no clip_range")
     if case == "iii":
         declared = Box.from_json_dict(cfg["compact_box"]) if "compact_box" in cfg else box
+        if declared.dim != family.dominating.dimension:
+            raise ValidationError("compact_box dimension disagrees with the family")
         for i, nu in enumerate(family.members):
             if not np.all(declared.contains(nu.points)):
                 raise HypothesisViolation(
@@ -342,9 +346,6 @@ def _written(case: str, cfg: dict, f: TargetFunction, box: Box, mu: DiscreteMeas
     if case == "ii":
         c_lo, c_hi = _clip_range(cfg, f)
         reg = to_register_form(g, box.enlarged(cfg["delta"]))
-        expected = f.dim + f.out_dim + 1
-        if any(w != expected for w in reg.network.hidden_widths):
-            raise OrliczError("register rewrite produced a wrong width")
         eta = clip_and_localize(reg, box, cfg["delta"], c_lo, c_hi).network
     else:
         eta = _bias_as_hidden_unit(g)

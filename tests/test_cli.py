@@ -524,6 +524,8 @@ _INF_MEAN = dict(_FUZZ_BASE["family"], samplers=[
     ("family", _INF_MEAN, "mean"),
     ("delta", 0.0, "delta"),
     ("delta", -1.0, "delta"),
+    ("activation", "softmax", "activation"),
+    ("activation", 5, "activation"),
 ])
 def test_robust_config_names_the_bad_key(tmp_path, capsys, key, value, named):
     cfg = dict(_FUZZ_CONFIGS["i"], **{key: value})
@@ -532,6 +534,20 @@ def test_robust_config_names_the_bad_key(tmp_path, capsys, key, value, named):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: bad value for {named}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("compact_box", [
+    {"lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]},  # numpy cannot broadcast it
+    {"lo": [0.0], "hi": [0.5]},  # numpy broadcasts it to both coordinates
+])
+def test_robust_refuses_a_compact_box_of_another_dimension(compact_box):
+    cfg = {"case": "iii", "family": {"kind": "mixtures", "count": 2, "points": 16, "seed": 7,
+                                     "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}},
+           "target": {"name": "sin_product", "dim": 2}, "epsilon": 0.5, "widths": [4],
+           "seeds": 1, "compact_box": compact_box}
+    code, err = _cli(["robust", "--config", "{dir}/cfg.json", "--out-dir", "{dir}/run"],
+                     [("cfg.json", cfg)])
+    assert (code, err) == (2, "error: compact_box dimension disagrees with the family\n")
 
 
 def test_readme_usage_line_names_every_subcommand():

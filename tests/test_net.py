@@ -366,23 +366,29 @@ def test_clip_and_localize_support_and_interior():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 16), st.integers(0, 2**32 - 1),
-       st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
-       st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2),
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 16), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+       st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3),
        st.floats(0.01, 1.0), st.floats(-2.0, 1.0), st.floats(0.05, 4.0))
 def test_clipped_register_network_is_the_clip_on_the_box(n_in, n_out, m, seed, lo, extent,
                                                          delta, c, span):
     # the robust pipeline scores case ii as clip(g, c, C) and rewrites only
-    # the chosen fit; on J the rewrite must agree within the run's check
+    # the chosen fit; the rewrite must equal g on the enlarged box K, and its
+    # clip the clip of g on J, within the run's check, at width n_in + n_out + 1
     rng = np.random.default_rng(seed)
     g = random_shallow(rng, n_in, n_out, m)
     J = Box(np.array(lo[:n_in]), np.array(lo[:n_in]) + np.array(extent[:n_in]))
+    K = J.enlarged(delta)
     C = c + span
-    net = clip_and_localize(to_register_form(g, J.enlarged(delta)), J, delta, c, C).network
-    X = np.vstack([J.lo, J.hi, J.sample(rng, 64)])
-    want = np.clip(g.evaluate_batch(X), c, C)
-    gap = np.max(np.abs(net.evaluate_batch(X) - want))
-    assert float(gap) <= _AGREEMENT_TOL * max(1.0, float(np.max(np.abs(want))))
+    reg = to_register_form(g, K)
+    clipped = clip_and_localize(reg, J, delta, c, C).network
+    for net, box, want_of in ((reg.network, K, lambda v: v),
+                              (clipped, J, lambda v: np.clip(v, c, C))):
+        assert set(net.hidden_widths) == {n_in + n_out + 1}
+        X = np.vstack([box.lo, box.hi, box.sample(rng, 64)])
+        want = want_of(g.evaluate_batch(X))
+        gap = np.max(np.abs(net.evaluate_batch(X) - want))
+        assert float(gap) <= _AGREEMENT_TOL * max(1.0, float(np.max(np.abs(want))))
 
 
 def test_clip_and_localize_validation():
