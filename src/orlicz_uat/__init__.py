@@ -10,9 +10,8 @@ from .fit import (CurveRow, TargetFunction, approximation_curve, constant,
                   from_table, gaussian_blob, l2_residual, make_target,
                   residual_table, sin_product, smooth_step)
 from .measure import (DiscreteMeasure, DlvpCertificate, MeasureFamily,
-                      default_psi_candidates, dlvp_certificate,
-                      dominating_measure, make_discrete, radon_nikodym,
-                      sample_empirical)
+                      default_psi_candidates, dlvp_certificate, make_discrete,
+                      radon_nikodym, sample_empirical)
 from .net import (AdditiveFamilyReport, AffineFamily, AffineMap, Layer,
                   LinearOnlyFamily, Network, RegisterLayout, RegisterNetwork,
                   WeightCompatReport, ZeroFamily, box_indicator, bump_1d,

@@ -39,7 +39,7 @@ def _count(value) -> int:
 
 
 class UnboundedConjugateError(OrliczError):
-    """The convex conjugate diverges (or overflows) within the search budget."""
+    """The convex conjugate diverges, or leaves the double range."""
 
 
 class AbsoluteContinuityError(OrliczError):

@@ -101,7 +101,7 @@ def constant(dim: int = 1, value: float = 1.0) -> TargetFunction:
 
 def from_table(mu: DiscreteMeasure, values, bound: float | None = None) -> TargetFunction:
     """Lookup target defined only on the support of mu."""
-    table = FunctionTable.from_values(values)
+    table = FunctionTable(values)
     if table.length != mu.support_size:
         raise ValidationError("table length disagrees with the support size")
     return TargetFunction("table", mu.dimension, table.output_dim,
@@ -275,7 +275,7 @@ def fit_random_features(f: TargetFunction, mu: DiscreteMeasure, width: int,
 
 
 def residual_table(f: TargetFunction, eta, mu: DiscreteMeasure) -> FunctionTable:
-    return FunctionTable.from_values(f.evaluate(mu.points) - eta.evaluate_batch(mu.points))
+    return FunctionTable(f.evaluate(mu.points) - eta.evaluate_batch(mu.points))
 
 
 def l2_residual(f: TargetFunction, eta, mu: DiscreteMeasure) -> float:
@@ -306,7 +306,7 @@ def approximation_curve(f: TargetFunction, mu: DiscreteMeasure, phi,
     for width in widths:
         for cache in caches:
             eta = fit_random_features(f, mu, width, activation, cache.seed, ridge, cache)
-            resid = FunctionTable.from_values(values - cache.predict(eta))
+            resid = FunctionTable(values - cache.predict(eta))
             g = gauge_norm(phi, mu, resid).value
             l1 = l1_norm(mu, resid)
             rows.append(CurveRow(width, cache.seed, g, l1))

@@ -117,18 +117,15 @@ def _coords(key: str, value, d: int) -> np.ndarray:
     return _parsed(key, convert, value)
 
 
-def _draw_gaussian(rng: np.random.Generator, n: int, mean, std, box: Box) -> np.ndarray:
-    mean, std = _coords("mean", mean, box.dim), _coords("std", std, box.dim)
-    if np.any(std <= 0.0):
-        raise ValidationError("gaussian std must be positive")
-    out = np.empty((0, box.dim))
+def _kept_in_box(draw, n: int, box: Box, name: str) -> np.ndarray:
+    """The first n points inside box, drawn in batches by repeated draw() calls."""
+    pts = np.empty((0, box.dim))
     for _ in range(_REJECTION_ROUNDS):
-        cand = mean + std * rng.standard_normal((n, box.dim))
-        cand = cand[box.contains(cand)]
-        out = np.concatenate([out, cand])
-        if out.shape[0] >= n:
-            return out[:n]
-    raise ValidationError("gaussian sampler kept missing the clip box")
+        cand = draw()
+        pts = np.concatenate([pts, cand[box.contains(cand)]])
+        if pts.shape[0] >= n:
+            return pts[:n]
+    raise ValidationError(f"{name} sampler kept missing the clip box")
 
 
 def sample_empirical(density_spec, n: int, seed: int, clip_box: Box) -> DiscreteMeasure:
@@ -156,7 +153,10 @@ def sample_empirical(density_spec, n: int, seed: int, clip_box: Box) -> Discrete
         std = spec.pop("std", 0.25 * (clip_box.hi - clip_box.lo))
         if spec:
             raise ValidationError(f"unknown gaussian parameters {sorted(spec)}")
-        pts = _draw_gaussian(rng, n, mean, std, clip_box)
+        mean, std = _coords("mean", mean, d), _coords("std", std, d)
+        if np.any(std <= 0.0):
+            raise ValidationError("gaussian std must be positive")
+        pts = _kept_in_box(lambda: mean + std * rng.standard_normal((n, d)), n, clip_box, name)
     else:
         comps = spec.pop("components", None)
         if spec or not comps:
@@ -169,26 +169,16 @@ def sample_empirical(density_spec, n: int, seed: int, clip_box: Box) -> Discrete
         probs = probs / probs.sum()
         means = [_coords("mean", m, d) for _, m, _ in comps]
         stds = [_coords("std", sd, d) for _, _, sd in comps]
-        pts = np.empty((0, d))
-        for _ in range(_REJECTION_ROUNDS):
+
+        def draw():
             idx = rng.choice(len(comps), size=n, p=probs)
             cand = np.empty((n, d))
             for k in range(len(comps)):
                 sel = idx == k
                 cand[sel] = means[k] + stds[k] * rng.standard_normal((int(sel.sum()), d))
-            cand = cand[clip_box.contains(cand)]
-            pts = np.concatenate([pts, cand])
-            if pts.shape[0] >= n:
-                pts = pts[:n]
-                break
-        else:
-            raise ValidationError("mixture sampler kept missing the clip box")
+            return cand
+        pts = _kept_in_box(draw, n, clip_box, name)
     return make_discrete(pts, np.full(n, 1.0 / n))
-
-
-def dominating_measure(members) -> DiscreteMeasure:
-    """Uniform average of the members over the union of their supports."""
-    return MeasureFamily(members).dominating
 
 
 def _match_rows(support, points, missing=AbsoluteContinuityError) -> np.ndarray:

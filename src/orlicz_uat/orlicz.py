@@ -54,10 +54,6 @@ class FunctionTable:
         return self.values.shape[1]
 
     @classmethod
-    def from_values(cls, values) -> "FunctionTable":
-        return cls(np.asarray(values, dtype=np.float64))
-
-    @classmethod
     def from_callable(cls, fn, mu: DiscreteMeasure) -> "FunctionTable":
         return cls(np.asarray(fn(mu.points), dtype=np.float64))
 

@@ -263,6 +263,8 @@ def _validate_config(config: dict) -> dict:
         # scoring clips with it long before the chosen fit is rewritten
         if not (math.isfinite(c_lo) and math.isfinite(c_hi) and c_lo < c_hi):
             raise ValidationError("clip_range must be two finite numbers c < C")
+    if "compact_box" in cfg:
+        cfg["compact_box"] = Box.from_json_dict(cfg["compact_box"])
     if "psi_candidates" in cfg:
         cfg["psi_candidates"] = _parsed(
             "psi_candidates", lambda v: [YoungFunction.from_json_dict(c) for c in v],
@@ -297,7 +299,7 @@ def _check_hypotheses(case: str, cfg: dict, family: MeasureFamily, f: TargetFunc
             raise HypothesisViolation("bounded target",
                                       "no declared bound and no clip_range")
     if case == "iii":
-        declared = Box.from_json_dict(cfg["compact_box"]) if "compact_box" in cfg else box
+        declared = cfg.get("compact_box", box)
         if declared.dim != family.dominating.dimension:
             raise ValidationError("compact_box dimension disagrees with the family")
         for i, nu in enumerate(family.members):
@@ -381,7 +383,7 @@ def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
         # the scored values on the dominating support give every member's
         # error: ||f - eta||_{L1(nu)} = sum ||f - eta|| * (dnu/dmu) * mu
         g, scored = _trial(case, cfg, f, cache, width)
-        resid = FunctionTable.from_values(values - scored)
+        resid = FunctionTable(values - scored)
         sup = float(np.max(family.integrals(_point_norms(resid, "euclidean"))))
         gauge = gauge_norm(phi_M, mu_dom, resid).value
         # only cases ii and iv check the written network against its scores

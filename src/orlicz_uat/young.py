@@ -18,9 +18,10 @@ returned in closed form for cataloged pairs and otherwise as a tabulated
 function on an ordinate grid.  The conjugate of a tabulated function is
 exact there: its supremum sits at a knot, psi(y) = max_k (g_k y - v_k)
 (the discrete Legendre transform; Lucet, Numer. Algorithms 16, 1997).
-Cataloged functions tabulated on request (numeric=True) solve phi'(x) = y
-by bisection.  Only finite-valued functions are representable; conjugates
-that jump to infinity raise UnboundedConjugateError.
+A cataloged function tabulated on request (numeric=True) is its closed-form
+conjugate sampled on the grid.  Only finite-valued functions are
+representable; conjugates that jump to infinity, or overflow on the grid,
+raise UnboundedConjugateError.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ TABULATED = "tabulated"
 
 _KINDS = (POWER, EXP_MINUS_LINEAR, ENTROPY, TABULATED)
 
-_BRACKET_BUDGET = 200
 # The closed forms expm1(r) - r and (1 + r) log1p(r) - r cancel for small r
 # (a 2% error at r = 1e-14), so below a bound their Taylor series from r^2 on
 # is summed.  Each bound keeps the closed form's error under 5e-15, and the
@@ -123,10 +123,6 @@ class YoungFunction:
         object.__setattr__(self, "grid", _frozen(g, self.grid))
         object.__setattr__(self, "values", _frozen(v, self.values))
 
-    @property
-    def has_derivative(self) -> bool:
-        return self.kind != TABULATED
-
     def _eval_abs(self, r: np.ndarray) -> np.ndarray:
         """phi on a 1-d array r >= 0."""
         if self.kind == POWER:
@@ -148,26 +144,6 @@ class YoungFunction:
         arr = np.asarray(x, dtype=np.float64)
         out = self._eval_abs(np.abs(arr).ravel()).reshape(arr.shape)
         if arr.ndim == 0:
-            return float(out)
-        return out
-
-    def derivative_abs(self, r):
-        """Right derivative on [0, inf); cataloged kinds only."""
-        if not self.has_derivative:
-            raise ValidationError("tabulated Young functions expose no derivative")
-        r = np.asarray(r, dtype=np.float64)
-        if self.kind == POWER:
-            if self.p == 1.0:
-                out = np.full_like(r, self.scale)
-            else:
-                with np.errstate(over="ignore"):
-                    out = self.scale * self.p * r ** (self.p - 1.0)
-        elif self.kind == EXP_MINUS_LINEAR:
-            with np.errstate(over="ignore"):
-                out = np.expm1(r)
-        else:
-            out = np.log1p(r)
-        if out.ndim == 0:
             return float(out)
         return out
 
@@ -240,35 +216,16 @@ def _resolve_grid(grid_spec) -> np.ndarray:
     return g
 
 
-def _conjugate_value(phi: YoungFunction, y: float) -> float:
-    """sup_{x >= 0} (x*y - phi(x)) for one ordinate y >= 0."""
-    if y == 0.0:
-        return 0.0
-    if phi.has_derivative:
-        hi = 1.0
-        steps = 0
-        while phi.derivative_abs(hi) < y:
-            hi *= 2.0
-            steps += 1
-            if steps > _BRACKET_BUDGET or not math.isfinite(phi(hi)):
-                raise UnboundedConjugateError(
-                    f"conjugate ordinate y={y:g} exceeds the representable slope range")
-        lo = 0.0
-        while hi - lo > 1e-15 * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if phi.derivative_abs(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-        x_star = 0.5 * (lo + hi)
-        return max(0.0, x_star * y - float(phi(x_star)))
-    # Tabulated: x*y - phi(x) is linear between knots and along the final
-    # ray, so the supremum sits at a knot unless y exceeds the final slope.
+def _knot_maximum(phi: YoungFunction, ygrid: np.ndarray) -> np.ndarray:
+    """sup_{x >= 0} (x*y - phi(x)) at each ordinate y >= 0 of ygrid, for a tabulated phi."""
+    # x*y - phi(x) is linear between knots and along the final ray, so the
+    # supremum sits at a knot unless y exceeds the final slope.
     g, v = phi.grid, phi.values
-    if y > (v[-1] - v[-2]) / (g[-1] - g[-2]):
+    over = ygrid[ygrid > (v[-1] - v[-2]) / (g[-1] - g[-2])]
+    if over.size:
         raise UnboundedConjugateError(
-            f"conjugate ordinate y={y:g} exceeds the final slope of the table")
-    return float(np.max(g * y - v))
+            f"conjugate ordinate y={over[0]:g} exceeds the final slope of the table")
+    return np.array([float(np.max(g * y - v)) if y else 0.0 for y in ygrid])
 
 
 def complementary(phi: YoungFunction, grid_spec=None, *, numeric: bool = False) -> YoungFunction:
@@ -276,23 +233,36 @@ def complementary(phi: YoungFunction, grid_spec=None, *, numeric: bool = False) 
 
     Cataloged pairs come back in closed form: power(p, s) maps to
     power(q, (s*p)**(1-q)/q) with 1/p + 1/q = 1, and exp_minus_linear and
-    entropy are conjugate to each other.  Pass numeric=True (or a tabulated
-    phi) to force the tabulated transform on grid_spec, which may be None
-    (log-spaced default), a (lo, hi, count) triple, or an explicit array of
-    ordinates.
+    entropy are conjugate to each other.  Pass numeric=True to get that
+    closed form tabulated on grid_spec, which may be None (log-spaced
+    default), a (lo, hi, count) triple, or an explicit array of ordinates;
+    a tabulated phi always gives its exact knot maximum on that grid.
     """
-    if not numeric and phi.kind == POWER:
+    if phi.kind == TABULATED:
+        ygrid = _resolve_grid(grid_spec)
+        return tabulated(ygrid, _knot_maximum(phi, ygrid))
+    if phi.kind == POWER:
         if phi.p == 1.0:
             raise UnboundedConjugateError(
                 "the conjugate of scale*|x| is not finite-valued")
         q = phi.p / (phi.p - 1.0)
-        return power(q, (phi.scale * phi.p) ** (1.0 - q) / q)
-    if not numeric and phi.kind == EXP_MINUS_LINEAR:
-        return entropy()
-    if not numeric and phi.kind == ENTROPY:
-        return exp_minus_linear()
+        try:
+            scale = (phi.scale * phi.p) ** (1.0 - q) / q
+        except OverflowError:  # float ** raises where numpy would give inf
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise UnboundedConjugateError(
+                f"the conjugate scale of power({phi.p:g}, {phi.scale:g}) leaves the double range")
+        psi = power(q, scale)
+    else:
+        psi = entropy() if phi.kind == EXP_MINUS_LINEAR else exp_minus_linear()
+    if not numeric:
+        return psi
     ygrid = _resolve_grid(grid_spec)
-    vals = np.array([_conjugate_value(phi, float(y)) for y in ygrid])
+    vals = psi(ygrid)
+    if not np.all(np.isfinite(vals)):
+        raise UnboundedConjugateError(
+            f"conjugate at y={ygrid[~np.isfinite(vals)][0]:g} overflows the double range")
     return tabulated(ygrid, vals)
 
 

@@ -279,7 +279,7 @@ def test_09_fnn_hypothesis_checks():
     for fam in families:
         phi_M, _, _ = associated_young_pair(fam)
         mu = fam.dominating
-        w = FunctionTable.from_values(quadratic_weight(mu.points))
+        w = FunctionTable(quadratic_weight(mu.points))
         value = gauge_norm(phi_M, mu, w).value
         ok = ok and np.isfinite(value)
     _finish(9, "functional-input hypothesis checks", ok, started, 5.0)

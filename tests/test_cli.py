@@ -550,6 +550,33 @@ def test_robust_refuses_a_compact_box_of_another_dimension(compact_box):
     assert (code, err) == (2, "error: compact_box dimension disagrees with the family\n")
 
 
+@pytest.mark.parametrize("case", ["i", "ii", "iii", "iv"])
+def test_robust_refuses_a_malformed_compact_box_in_every_case(case):
+    cfg = dict(_FUZZ_CONFIGS[case], compact_box="abc")
+    code, err = _cli(["robust", "--config", "{dir}/cfg.json", "--out-dir", "{dir}/run"],
+                     [("cfg.json", cfg)])
+    assert (code, err) == (2, "error: box object must have exactly the keys lo and hi\n")
+
+
+@pytest.mark.parametrize("phi, grid, message", [
+    ("entropy", "1:1000:4", "conjugate at y=1000 overflows the double range"),
+    ("power:1.5", "0.01:1e300:4", "conjugate at y=2.15443e+199 overflows the double range"),
+    ("power:1.5:1e-300", "0.1:1:3",
+     "the conjugate scale of power(1.5, 1e-300) leaves the double range"),
+], ids=["entropy", "power", "power-scale"])
+def test_conjugate_that_overflows_the_grid_exits_2(phi, grid, message):
+    code, err = _cli(["conjugate", f"--phi={phi}", f"--grid={grid}"])
+    assert (code, err) == (2, f"error: {message}\n")
+
+
+def test_robust_psi_whose_conjugate_leaves_the_double_range_exits_2():
+    cfg = dict(_FUZZ_CONFIGS["i"], psi_candidates=[{"kind": "power", "p": 1.5, "scale": 1e-300}])
+    code, err = _cli(["robust", "--config", "{dir}/cfg.json", "--out-dir", "{dir}/run"],
+                     [("cfg.json", cfg)])
+    assert (code, err) == (
+        2, "error: the conjugate scale of power(1.5, 1e-300) leaves the double range\n")
+
+
 def test_readme_usage_line_names_every_subcommand():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (usage,) = re.findall(r"^orlicz-uat \{([\w,]+)\} \.\.\.$", readme, flags=re.M)

@@ -14,7 +14,7 @@ from orlicz_uat.orlicz import _point_norms
 
 def two_point_setup():
     mu = make_discrete([[0.0], [1.0]], [0.5, 0.5])
-    f = FunctionTable.from_values([1.0, 3.0])
+    f = FunctionTable([1.0, 3.0])
     return mu, f
 
 
@@ -27,7 +27,7 @@ def test_modular_direct_sum_oracle():
 
 def test_modular_zero_table():
     mu = make_discrete([[0.0], [1.0]], [0.5, 0.5])
-    zero = FunctionTable.from_values([0.0, 0.0])
+    zero = FunctionTable([0.0, 0.0])
     for phi in (power(1.5), power(3.0, 0.2)):
         assert modular(phi, mu, zero, 1.0) == 0.0
 
@@ -38,7 +38,7 @@ def test_modular_errors():
         modular(power(2.0), mu, f, 0.0)
     with pytest.raises(ValidationError):
         modular(power(2.0), mu, f, -1.0)
-    short = FunctionTable.from_values([1.0])
+    short = FunctionTable([1.0])
     with pytest.raises(ValidationError):
         modular(power(2.0), mu, short, 1.0)
 
@@ -46,7 +46,7 @@ def test_modular_errors():
 def test_modular_strictly_decreasing_in_k():
     rng = np.random.default_rng(4)
     mu = make_discrete(rng.uniform(0.0, 1.0, size=(6, 1)), rng.uniform(0.1, 1.0, 6))
-    f = FunctionTable.from_values(rng.standard_normal(6) + 2.0)
+    f = FunctionTable(rng.standard_normal(6) + 2.0)
     phi = power(2.0)
     ks = np.geomspace(0.25, 8.0, 12)
     vals = [modular(phi, mu, f, float(k)) for k in ks]
@@ -72,7 +72,7 @@ def test_gauge_norm_l1_oracle():
 
 def test_gauge_norm_zero_table():
     mu = make_discrete([[0.0], [1.0]], [0.5, 0.5])
-    zero = FunctionTable.from_values([0.0, 0.0])
+    zero = FunctionTable([0.0, 0.0])
     result = gauge_norm(power(2.0), mu, zero)
     assert result.value == 0.0
 
@@ -102,7 +102,7 @@ def test_gauge_norm_lp_consistency():
             n = int(rng.integers(2, 12))
             mu = make_discrete(rng.uniform(-1.0, 1.0, size=(n, 1)),
                                rng.uniform(0.05, 1.0, size=n))
-            f = FunctionTable.from_values(rng.standard_normal(n) * 3.0)
+            f = FunctionTable(rng.standard_normal(n) * 3.0)
             want = float(np.sum(np.abs(f.values[:, 0]) ** p * mu.weights) ** (1.0 / p))
             got = gauge_norm(phi, mu, f).value
             assert abs(got - want) <= 1e-8 * max(1.0, want), (p, got, want)
@@ -141,7 +141,7 @@ def test_power_gauge_closed_form_matches_bisection(p, scale, exponent, seed):
     n = int(rng.integers(1, 40))
     mu = make_discrete(rng.uniform(size=(n, 1)), rng.uniform(0.05, 1.0, size=n))
     values = rng.uniform(-1.0, 1.0, size=(mu.support_size, 2))
-    f = FunctionTable.from_values(10.0 ** exponent * values)
+    f = FunctionTable(10.0 ** exponent * values)
     phi = power(p, scale)
     tol = 1e-10
     result = gauge_norm(phi, mu, f, tol=tol)
@@ -200,7 +200,7 @@ _ENTRY = (st.sampled_from((0.0, -0.0)) | st.floats(0.1, 10.0) | st.floats(-10.0,
 def test_point_norms_over_the_whole_double_range(exponent, rows):
     # no row is squared, so a nonzero row keeps a finite positive norm at any scale
     unit = np.array(rows)
-    table = FunctionTable.from_values(unit * 10.0 ** exponent)
+    table = FunctionTable(unit * 10.0 ** exponent)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         norms = _point_norms(table, "euclidean")
@@ -215,7 +215,7 @@ def test_point_norms_over_the_whole_double_range(exponent, rows):
 
 def test_gauge_norm_vector_norm_choices():
     mu = make_discrete([[0.0]], [1.0])
-    f = FunctionTable.from_values([[3.0, 4.0]])
+    f = FunctionTable([[3.0, 4.0]])
     assert abs(gauge_norm(power(2.0), mu, f).value - 5.0) <= 1e-9
     assert abs(gauge_norm(power(2.0), mu, f, norm_choice="max").value - 4.0) <= 1e-9
     with pytest.raises(ValidationError):
@@ -246,9 +246,9 @@ def test_norm_axioms_property_sweep():
 
 def test_norm_zero_iff_zero_table():
     mu = make_discrete([[0.0], [1.0], [2.0]], [0.2, 0.3, 0.5])
-    tiny = FunctionTable.from_values([0.0, 1e-12, 0.0])
+    tiny = FunctionTable([0.0, 1e-12, 0.0])
     assert gauge_norm(power(2.0), mu, tiny).value > 0.0
-    zero = FunctionTable.from_values([0.0, 0.0, 0.0])
+    zero = FunctionTable([0.0, 0.0, 0.0])
     assert gauge_norm(power(2.0), mu, zero).value == 0.0
 
 
@@ -259,7 +259,7 @@ def test_unit_ball_characterization():
         n = int(rng.integers(2, 10))
         mu = make_discrete(rng.uniform(0.0, 1.0, size=(n, 1)),
                            rng.uniform(0.05, 1.0, size=n))
-        f = FunctionTable.from_values(rng.standard_normal(n) * rng.uniform(0.2, 3.0))
+        f = FunctionTable(rng.standard_normal(n) * rng.uniform(0.2, 3.0))
         norm = gauge_norm(phi, mu, f).value
         mod1 = modular(phi, mu, f, 1.0)
         if norm <= 1.0:
@@ -273,7 +273,7 @@ def test_l1_norm_oracle_and_homogeneity():
     assert l1_norm(mu, f) == 2.0
     doubled = FunctionTable(2.0 * f.values)
     assert l1_norm(mu, doubled) == 2.0 * l1_norm(mu, f)
-    zero = FunctionTable.from_values([0.0, 0.0])
+    zero = FunctionTable([0.0, 0.0])
     assert l1_norm(mu, zero) == 0.0
 
 
@@ -281,7 +281,7 @@ def test_holder_equality_witness():
     # phi(x) = x^2/2 is self-complementary; f = g = 1 on a probability
     # measure gives lhs = 1 and rhs = 2 (1/sqrt 2)^2 = 1
     mu = make_discrete([[0.0], [1.0]], [0.5, 0.5])
-    ones = FunctionTable.from_values([1.0, 1.0])
+    ones = FunctionTable([1.0, 1.0])
     phi = power(2.0, 0.5)
     report = holder_check(phi, complementary(phi), mu, ones, ones)
     assert abs(report.lhs - 1.0) <= 1e-12
@@ -291,7 +291,7 @@ def test_holder_equality_witness():
 
 def test_holder_zero_case():
     mu, f = two_point_setup()
-    zero = FunctionTable.from_values([0.0, 0.0])
+    zero = FunctionTable([0.0, 0.0])
     phi = power(2.0, 0.5)
     report = holder_check(phi, complementary(phi), mu, zero, zero)
     assert report.lhs == 0.0 and report.rhs == 0.0 and report.holds
@@ -306,8 +306,8 @@ def test_holder_random_sweep():
         n = int(rng.integers(2, 9))
         mu = make_discrete(rng.uniform(-1.0, 1.0, size=(n, 1)),
                            rng.uniform(0.05, 1.0, size=n))
-        f = FunctionTable.from_values(rng.standard_normal(n) * 4.0)
-        g = FunctionTable.from_values(rng.standard_normal(n) * 4.0)
+        f = FunctionTable(rng.standard_normal(n) * 4.0)
+        g = FunctionTable(rng.standard_normal(n) * 4.0)
         report = holder_check(phi, psi, mu, f, g)
         assert report.holds, (report.lhs, report.rhs)
 
@@ -329,6 +329,6 @@ def test_from_callable_alignment():
 
 def test_function_table_validation():
     with pytest.raises(ValidationError):
-        FunctionTable.from_values([])
+        FunctionTable([])
     with pytest.raises(ValidationError):
-        FunctionTable.from_values([np.inf])
+        FunctionTable([np.inf])

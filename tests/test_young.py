@@ -183,6 +183,50 @@ def test_tabulated_conjugate_is_exact():
         complementary(phi, grid_spec=np.array([1.0, 19.99]))
 
 
+_CONJUGATE_GRIDS = ((1e-6, 1e2, 1024), (1e-3, 10.0, 37), (0.1, 5.0, 64), (1.0, 1e3, 16))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.builds(power, st.floats(1.0, 4.0, exclude_min=True), st.floats(0.1, 10.0))
+       | st.sampled_from((exp_minus_linear(), entropy())),
+       st.sampled_from(_CONJUGATE_GRIDS))
+def test_numeric_conjugate_is_the_closed_form_on_the_grid(phi, grid):
+    # the table holds the closed form's own values at every ordinate, or, where
+    # that form leaves the double range (p near 1, or exp past y = 709), refuses
+    y = np.geomspace(*grid)
+    try:
+        want = complementary(phi)(y)
+    except UnboundedConjugateError:
+        want = np.array([np.inf])
+    if not np.all(np.isfinite(want)):
+        with pytest.raises(UnboundedConjugateError):
+            complementary(phi, grid_spec=grid, numeric=True)
+        return
+    psi = complementary(phi, grid_spec=grid, numeric=True)
+    assert psi.kind == "tabulated"
+    assert psi.grid.tolist() == [0.0] + y.tolist() and psi.values[0] == 0.0
+    assert psi.values[1:].tobytes() == want.tobytes()
+    assert psi(y).tobytes() == want.tobytes()
+
+
+def test_numeric_conjugate_of_power_1_5_on_the_default_grid():
+    # psi(y) = 4 y^3 / 27; bisection on phi' was off by 4.2e-7 relative near y = 1e-6
+    psi = complementary(power(1.5), numeric=True)
+    y = psi.grid[1:]
+    assert y.size == 1024 and y[0] == 1e-6 and y[-1] == 1e2
+    want = 4.0 * y ** 3 / 27.0
+    assert float(np.max(np.abs(psi.values[1:] - want) / want)) <= 1e-15
+    assert psi.values[1:].tobytes() == complementary(power(1.5))(y).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_conjugate_scale_outside_the_double_range_is_unbounded(scale):
+    # (1.5 s)^(-2) / 3 overflows at s = 1e-300 and underflows to 0 at s = 1e300
+    for numeric in (False, True):
+        with pytest.raises(UnboundedConjugateError, match="leaves the double range"):
+            complementary(power(1.5, scale), numeric=numeric)
+
+
 def test_conjugate_duality_on_catalog():
     probes = np.geomspace(0.1, 10.0, 25)
     for phi in (power(1.5), power(2.0, 0.5), power(3.0, 2.0),
