@@ -7,8 +7,8 @@ from .errors import (AbsoluteContinuityError, BracketingError, FitSolverError,
                      ValidationError)
 from .fit import (CurveRow, TargetFunction, approximation_curve, constant,
                   curve_csv_rows, draw_features, fit_random_features,
-                  from_table, gaussian_blob, l2_residual, make_target,
-                  residual_table, sin_product, smooth_step)
+                  from_table, gaussian_blob, make_target, residual_table,
+                  sin_product, smooth_step)
 from .measure import (DiscreteMeasure, DlvpCertificate, MeasureFamily,
                       default_psi_candidates, dlvp_certificate, make_discrete,
                       radon_nikodym, sample_empirical)

@@ -6,13 +6,14 @@ features for any larger width.  Readouts solve a ridge-regularized weighted
 least-squares problem on the support of the measure.  Nothing here optimizes
 a gauge norm directly; gauge errors are evaluated after the fact.
 
-There is one fit path, ``FeatureCache``: one seed's hidden activations on
-the support and the weighted Gram matrix of the features drawn so far.  A
-width/seed schedule keeps one cache per seed and grows it, so widening draws,
-activates and weights only the new features and adds only the Gram border;
-a standalone ``fit_random_features`` call grows a fresh cache once.  Every
-width's readout comes from a Cholesky factorization of its own assembled
-system, with the intercept last.
+There is one fit path, ``FeatureCache``: one seed's design matrix on the
+support, feature-major with the intercept's row first, and the weighted Gram
+matrix of the features drawn so far.  A width/seed schedule keeps one cache
+per seed and grows it, so widening draws and activates only the new features
+and adds only the Gram border, summed over fixed blocks of support points in
+block order; a standalone ``fit_random_features`` call grows a fresh cache
+once.  Every width's readout comes from a Cholesky factorization of its own
+assembled system, with the intercept last.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import FitSolverError, ValidationError, _count, _parsed
 from .measure import DiscreteMeasure, _match_rows
-from .net import _ROW_BLOCK, Layer, Network, _apply_activation
+from .net import _ROW_BLOCK, _ROW_PAD, Layer, Network, _apply_activation
 from .orlicz import FunctionTable, gauge_norm, l1_norm
 
 _FIT_ACTS = ("relu", "sigmoid", "tanh")
@@ -156,12 +157,15 @@ def draw_features(dim: int, width: int, seed: int, lo, hi, start: int = 0):
 class FeatureCache:
     """One seed's random-feature least-squares system on one support, grown in place.
 
-    Holds the design matrix on the support as one C-ordered
-    ``n x (capacity + 1)`` array: column 0 is the intercept's constant 1 and
-    column k is hidden feature k - 1.  The weighted Gram matrix and
-    right-hand sides of the columns filled so far are kept in the same
-    order.  ``values`` are the target's values on the support, evaluated
-    once by the caller.
+    Holds the design matrix feature-major, as one C-ordered
+    ``(capacity + 1) x n`` array: row 0 is the intercept's constant 1 and
+    row k is hidden feature k - 1.  Column j is support point j; the columns
+    are padded with zero-weight origins to a multiple of ``_ROW_PAD``, as a
+    network evaluation pads its blocks, so that ``predict`` rounds as the
+    network does.  The weighted Gram matrix and right-hand sides of the rows
+    filled so far are kept in the same order, each a sum of partials over
+    fixed ``_ROW_BLOCK``-column blocks added in block order.  ``values`` are
+    the target's values on the support, evaluated once by the caller.
     """
 
     def __init__(self, mu: DiscreteMeasure, values: np.ndarray, activation: str,
@@ -169,42 +173,39 @@ class FeatureCache:
         self.mu, self.activation, self.seed, self.ridge = mu, activation, seed, ridge
         self._capacity, self._width = capacity, 0
         self._box = _support_box(mu)
-        self._weighted_values = values * mu.weights[:, None]
+        pad = ((0, -values.shape[0] % _ROW_PAD), (0, 0))
+        self._points = np.pad(mu.points, pad)
+        self._weights = np.pad(mu.weights, pad[0])
+        self._weighted_values = np.pad(values * mu.weights[:, None], pad)
         self._W = np.empty((capacity, mu.dimension))
         self._b = np.empty(capacity)
-        self._design = np.empty((values.shape[0], capacity + 1))
-        self._design[:, 0] = 1.0
+        self._design = np.empty((capacity + 1, self._points.shape[0]))
+        self._design[0] = 1.0
         self._gram = np.empty((capacity + 1, capacity + 1))
         self._rhs = np.empty((capacity + 1, values.shape[1]))
 
-    @staticmethod
-    def _slots(width: int) -> list:
-        """Columns of the system for ``width`` features: the features, then the intercept."""
-        return [*range(1, width + 1), 0]
-
     def _grow(self, width: int):
-        w0, X, wts = self._width, self.mu.points, self.mu.weights
+        w0, X, wts, D = self._width, self._points, self._weights, self._design
         W, b = draw_features(self.mu.dimension, width, self.seed, *self._box, start=w0)
         self._W[w0:width], self._b[w0:width] = W, b
-        new = slice(w0 + 1, width + 1)
-        # support points activated per block, which only bounds the temporaries
+        # the first step adds the intercept row too, so its border is the whole system
+        new = slice(w0 + 1 if w0 else 0, width + 1)
+        border = np.zeros((width + 1, new.stop - new.start))
+        rhs = np.zeros((new.stop - new.start, self._rhs.shape[1]))
+        # partial sums over fixed column blocks, added in block order: bounded
+        # temporaries, and one summation order however a run is scheduled
         for start in range(0, X.shape[0], _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            self._design[rows, new] = _apply_activation(self.activation, X[rows] @ W.T + b)
-        if w0 == 0:
-            # built from [H | 1] in one product, as a fresh fit always was,
-            # so that every one-step fit keeps its exact bits
-            slots = self._slots(width)
-            Phi = np.hstack([self._design[:, 1:width + 1], np.ones((X.shape[0], 1))])
-            self._gram[np.ix_(slots, slots)] = Phi.T @ (Phi * wts[:, None])
-            self._rhs[slots] = Phi.T @ self._weighted_values
-        else:
-            # the border, intercept row included, in one product; the upper
-            # triangle, which the factorization reads, is written last
-            border = self._design[:, :width + 1].T @ (self._design[:, new] * wts[:, None])
-            self._gram[new, :width + 1] = border.T
-            self._gram[:width + 1, new] = border
-            self._rhs[new] = self._design[:, new].T @ self._weighted_values
+            cols = slice(start, start + _ROW_BLOCK)
+            z = D[w0 + 1:width + 1, cols]
+            np.matmul(W, X[cols].T, out=z)
+            z += b[:, None]
+            _apply_activation(self.activation, z)
+            border += D[:width + 1, cols] @ (D[new, cols] * wts[cols]).T
+            rhs += D[new, cols] @ self._weighted_values[cols]
+        # the upper triangle, which the factorization reads, is written last
+        self._gram[new, :width + 1] = border.T
+        self._gram[:width + 1, new] = border
+        self._rhs[new] = rhs
         self._width = width
 
     def fit(self, width: int) -> Network:
@@ -214,7 +215,7 @@ class FeatureCache:
         if width > self._width:
             with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite below
                 self._grow(width)
-        slots = self._slots(width)
+        slots = [*range(1, width + 1), 0]  # the features, then the intercept
         G = self._gram[np.ix_(slots, slots)]
         # the Gram matrix scales with the measure's mass, and so does the ridge
         G[np.diag_indices_from(G)] += self.ridge * self.mu.total_mass
@@ -240,7 +241,7 @@ class FeatureCache:
         cached hidden activations.
         """
         out = net.layers[-1]
-        return self._design[:, 1:out.in_dim + 1] @ out.A.T + out.b
+        return (out.A @ self._design[1:out.in_dim + 1])[:, :self.mu.support_size].T + out.b
 
 
 def fit_random_features(f: TargetFunction, mu: DiscreteMeasure, width: int,
@@ -276,11 +277,6 @@ def fit_random_features(f: TargetFunction, mu: DiscreteMeasure, width: int,
 
 def residual_table(f: TargetFunction, eta, mu: DiscreteMeasure) -> FunctionTable:
     return FunctionTable(f.evaluate(mu.points) - eta.evaluate_batch(mu.points))
-
-
-def l2_residual(f: TargetFunction, eta, mu: DiscreteMeasure) -> float:
-    r = residual_table(f, eta, mu).values
-    return float(np.sqrt(np.sum(np.sum(r * r, axis=1) * mu.weights)))
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,9 @@ from .errors import OrliczError, ValidationError, _frozen, _parsed
 
 _HIDDEN_ACTS = ("relu", "sigmoid", "tanh", "identity")
 _OUTPUT_ACT = "none"
-_ROW_BLOCK = 4096  # rows per block of a network evaluation and of a feature cache's growth
+# points per block of a network evaluation, and per partial Gram sum of a
+# feature cache; a constant, so no sum's order depends on how a run is scheduled
+_ROW_BLOCK = 4096
 _ROW_PAD = 64  # a multiple of the row unrolling of common BLAS kernels
 # a written network may depart from the values it must reproduce by at most
 # this fraction of their largest magnitude, at least 1

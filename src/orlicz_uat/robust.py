@@ -20,14 +20,15 @@ unit.  That network is evaluated once and must agree with its scores, so the
 curve describes the written network.  The verification evaluates it again,
 directly, and takes the member density norms from the certificate.
 
-One thread pool serves the whole schedule, with one worker per seed, at most
-``os.cpu_count()``.  Each task grows only its own seed's cache, so the
-artifacts do not depend on the worker count.
+One thread pool serves the whole schedule, with the standard library's
+default number of workers, ``min(32, os.cpu_count() + 4)``, so every seed of a
+width runs at once unless there are more seeds than that.  Each task grows
+only its own seed's cache, whose sums run in a fixed order, so the artifacts
+do not depend on the worker count.
 """
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,7 +42,7 @@ from .fit import (_FIT_ACTS, FeatureCache, TargetFunction, fit_random_features,
                   make_target, residual_table)
 from .measure import (DiscreteMeasure, DlvpCertificate, MeasureFamily,
                       dlvp_certificate, sample_empirical)
-from .net import (Layer, Network, _apply_activation, _check_agreement, clip_and_localize,
+from .net import (Layer, Network, _check_agreement, clip_and_localize,
                   to_register_form, zero_network)
 from .orlicz import (_GAUGE_TOL, _HOLDER_SLACK, FunctionTable, _point_norms, gauge_norm,
                      l1_norm)
@@ -200,17 +201,16 @@ def _bias_as_hidden_unit(net: Network) -> Network:
     """The same one-hidden-layer network with a zero readout bias.
 
     Functional-input networks sum hidden maps of the additive family, with
-    no readout bias.  A nonzero bias becomes one extra hidden unit on the
-    constant map x -> 1, read out with weight bias / activation(1); that
-    quotient exists because activation(1) is nonzero for every activation.
+    no readout bias.  A nonzero bias becomes one extra hidden unit on a
+    constant map whose activation is exactly 1.0 (relu of 1, sigmoid and
+    tanh of 64), read out with the bias itself as its weight.
     """
     hid, out = net.layers
     A, b, readout = hid.A, hid.b, out.A
     if np.any(out.b != 0.0):
-        act1 = float(_apply_activation(hid.act, np.array([1.0]))[0])
         A = np.vstack([A, np.zeros((1, net.input_dim))])
-        b = np.append(b, 1.0)
-        readout = np.hstack([readout, (out.b / act1)[:, None]])
+        b = np.append(b, 1.0 if hid.act == "relu" else 64.0)
+        readout = np.hstack([readout, out.b[:, None]])
     return Network((Layer(A, b, hid.act), Layer(readout, np.zeros(out.out_dim), "none")))
 
 
@@ -393,7 +393,7 @@ def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
     rows = []
     chosen = None
     best = None
-    with ThreadPoolExecutor(max_workers=min(len(caches), os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor() as pool:
         for width in cfg["widths"]:
             batch = pool.map(run_one, [width] * len(caches), caches)
             for seed, (g, scored, sup, gauge) in zip(cfg["seeds"], batch):

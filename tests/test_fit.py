@@ -6,13 +6,19 @@ from hypothesis import strategies as st
 
 from orlicz_uat import (Box, FitSolverError, ValidationError, curve_csv_rows,
                         fit_random_features, from_table, gauge_norm,
-                        l2_residual, make_discrete, make_target, power,
-                        residual_table, sample_empirical)
+                        make_discrete, make_target, power, residual_table,
+                        sample_empirical)
 from orlicz_uat.fit import (FeatureCache, approximation_curve, constant,
                             draw_features, gaussian_blob, sin_product,
                             smooth_step)
-from orlicz_uat.net import _apply_activation
+from orlicz_uat.net import _ROW_BLOCK, _apply_activation
 from orlicz_uat.serialize import json_text
+
+
+def l2_residual(f, eta, mu):
+    """The mu-weighted L2 norm of f - eta on the support of mu."""
+    r = residual_table(f, eta, mu).values
+    return float(np.sqrt(np.sum(np.sum(r * r, axis=1) * mu.weights)))
 
 
 def uniform_support(n=256, seed=1, lo=0.0, hi=1.0):
@@ -164,7 +170,24 @@ def test_cached_score_is_the_network_on_the_support():
         for width in (8, 16, 64, 32):
             eta = fit_random_features(f, mu, width, act, 2, 1e-10, cache)
             want = eta.evaluate_batch(mu.points)
-            assert np.max(np.abs(cache.predict(eta) - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.array_equal(cache.predict(eta), want)
+
+
+def test_growth_over_several_column_blocks():
+    # three blocks of support points, the last one partial
+    n = 2 * _ROW_BLOCK + 37
+    rng = np.random.default_rng(5)
+    mu = make_discrete(rng.uniform(size=(n, 2)), rng.uniform(0.1, 1.0, size=n))
+    assert mu.support_size == n
+    f = sin_product(2)
+    for act in ("relu", "sigmoid", "tanh"):
+        cache = FeatureCache(mu, f.evaluate(mu.points), act, 4, 1e-6, 40)
+        for width in (8, 24, 40):
+            grown = fit_random_features(f, mu, width, act, 4, 1e-6, cache)
+            want = fit_random_features(f, mu, width, act, 4, 1e-6).evaluate_batch(mu.points)
+            got = grown.evaluate_batch(mu.points)
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+            assert np.array_equal(cache.predict(grown), got)
 
 
 def test_feature_cache_refuses_another_fit():

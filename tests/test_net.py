@@ -418,10 +418,11 @@ def test_case_iv_artifact_folds_the_readout_bias():
         hid, out = art.layers
         assert out.b.tolist() == [0.0]
         assert hid.out_dim == 7
-        assert hid.A[-1].tolist() == [0.0] and hid.b[-1] == 1.0
+        # a constant unit of activation exactly 1.0, read out with the bias itself
+        assert hid.A[-1].tolist() == [0.0] and hid.b[-1] == (1.0 if act == "relu" else 64.0)
+        assert out.A[0, -1] == fitted.layers[1].b[0]
         assert hid.A[:-1].tolist() == fitted.layers[0].A.tolist()
-        got, want = art.evaluate_batch(mu.points), fitted.evaluate_batch(mu.points)
-        assert float(np.max(np.abs(got - want))) <= 1e-12
+        assert np.array_equal(art.evaluate_batch(mu.points), fitted.evaluate_batch(mu.points))
     unbiased = Network((fitted.layers[0], Layer(fitted.layers[1].A, [0.0], "none")))
     assert robust._bias_as_hidden_unit(unbiased).layers[0].out_dim == 6
 

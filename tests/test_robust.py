@@ -2,7 +2,7 @@
 import csv
 import dataclasses
 import json
-import os
+import threading
 import weakref
 from pathlib import Path
 
@@ -281,23 +281,34 @@ def test_experiment_artifacts_deterministic(tmp_path):
 
 @pytest.mark.parametrize("overrides", [{}, {"case": "ii", "activation": "relu"}])
 def test_artifacts_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, overrides):
-    sizes = []
+    # 4,500 dominating points, so each fit sums over two column blocks
+    family = {"kind": "mixtures", "count": 3, "points": 1500, "seed": 7,
+              "box": {"lo": [0.0], "hi": [1.0]}}
+    default_pool, trial = robust.ThreadPoolExecutor, robust._trial
+    sizes, threads = [], {"one": set(), "default": set()}
 
-    class Recorded(robust.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
+    class OneWorker(default_pool):
+        def __init__(self, *args, **kwargs):
+            sizes.append((args, kwargs))
+            super().__init__(max_workers=1)
 
-    monkeypatch.setattr(robust, "ThreadPoolExecutor", Recorded)
-    outs = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        outs.append(tmp_path / str(cpus))
-        run_robust_experiment(base_config(outs[-1], epsilon=1e-9, widths=[4, 8, 16],
-                                          seeds=3, **overrides))
+    for tag, pool in (("one", OneWorker), ("default", default_pool)):
+        def recording(*args, tag=tag):
+            threads[tag].add(threading.get_ident())
+            return trial(*args)
+
+        monkeypatch.setattr(robust, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(robust, "_trial", recording)
+        result = run_robust_experiment(base_config(tmp_path / tag, epsilon=1e-9,
+                                                   widths=[4, 8, 16], seeds=3,
+                                                   family=family, **overrides))
+    assert build_family(family)[0].dominating.support_size > 4096
+    assert len(result.rows) == 9
     for name in ("report.json", "curve.csv", "network.json"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-    assert sizes == [1, 2]
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+    # the program asks for the default pool, which OneWorker overrode
+    assert sizes == [((), {})]
+    assert len(threads["one"]) == 1 and len(threads["default"]) > 1
 
 
 def test_feature_caches_are_released_before_verification(tmp_path, monkeypatch):
