@@ -137,8 +137,9 @@ def _cmd_construct(args) -> int:
                                            args.clip_low, args.clip_high)
             X = np.vstack([0.5 * (J.lo + J.hi), J.lo, J.hi])
             want = np.clip(shallow.evaluate_batch(X), args.clip_low, args.clip_high)
-            netmod._check_agreement(reg.network, X, want, "the clipped network departs from"
-                                    " the clip of --net at the centre and corners of --inner-box")
+            netmod._check_agreement(reg.network.evaluate_batch(X), want,
+                                    "the clipped network departs from the clip of --net"
+                                    " at the centre and corners of --inner-box")
         net = reg.network if isinstance(reg, netmod.RegisterNetwork) else reg
     else:
         raise ValidationError(f"unknown construction {what!r}")

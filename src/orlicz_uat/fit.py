@@ -133,10 +133,6 @@ def make_target(spec: dict) -> TargetFunction:
         raise ValidationError(f"bad parameters for target {name!r}: {exc}") from None
 
 
-def _support_box(mu: DiscreteMeasure):
-    return np.min(mu.points, axis=0), np.max(mu.points, axis=0)
-
-
 def draw_features(dim: int, width: int, seed: int, lo, hi, start: int = 0):
     """Standard normal weights; each kink anchored uniformly inside [lo, hi].
 
@@ -144,12 +140,15 @@ def draw_features(dim: int, width: int, seed: int, lo, hi, start: int = 0):
     for any n > k, so widening the draw extends it without disturbing earlier
     features.  Returns features start..width-1.
     """
+    side = hi - lo
+    if not np.all(np.isfinite(side)):
+        raise ValidationError("the support's bounding box has a side past the double range")
     W = np.empty((width - start, dim))
     b = np.empty(width - start)
     for row, k in enumerate(range(start, width)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         W[row] = rng.standard_normal(dim)
-        anchor = rng.uniform(lo, hi)
+        anchor = lo + side * rng.random(dim)  # Generator.uniform's own formula
         b[row] = -float(W[row] @ anchor)
     return W, b
 
@@ -172,7 +171,9 @@ class FeatureCache:
                  seed: int, ridge: float, capacity: int):
         self.mu, self.activation, self.seed, self.ridge = mu, activation, seed, ridge
         self._capacity, self._width = capacity, 0
-        self._box = _support_box(mu)
+        # one strided pass per coordinate: no row-by-row loop, and no copy
+        self._box = (np.array([x.min() for x in mu.points.T]),
+                     np.array([x.max() for x in mu.points.T]))
         pad = ((0, -values.shape[0] % _ROW_PAD), (0, 0))
         self._points = np.pad(mu.points, pad)
         self._weights = np.pad(mu.weights, pad[0])

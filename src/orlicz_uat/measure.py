@@ -1,7 +1,7 @@
 """Finitely supported measures, measure families, and integrability certificates.
 
 A DiscreteMeasure is a finite set of support points in R^d with nonnegative
-weights.  A support is one lexsort of its points plus +0.0 (so 0.0 and -0.0
+weights.  A support is one sort of its points plus +0.0 (so 0.0 and -0.0
 are one point).  A MeasureFamily is built from its member measures alone: one
 sort of all member points gives the dominating measure (the uniform average
 of the members over the union support) and each member's rows of it, and each
@@ -90,7 +90,13 @@ def _canonical(pts: np.ndarray, w: np.ndarray):
     """make_discrete's measure, and the support row of each input row (-1 where its
     point has no weight).  bincount sums each run in input order, as np.add.at
     would; np.add.reduceat reorders the sum and can move its last bit."""
-    order = np.lexsort(pts.T[::-1])  # -0.0 and 0.0 sort as equals; + 0.0 makes both 0.0
+    # lexicographic: by the first coordinate, then the rows tied in it by all;
+    # -0.0 and 0.0 sort as equals, and + 0.0 makes both 0.0
+    order = np.argsort(pts[:, 0])
+    tie = np.r_[pts[order[1:], 0] == pts[order[:-1], 0], False]
+    if pts.shape[1] > 1 and tie.any():
+        tied = np.flatnonzero(tie | np.r_[False, tie[:-1]])
+        order[tied] = order[tied][np.lexsort(pts[order[tied]].T[::-1])]
     run = pts[order] + 0.0
     starts = np.concatenate([[True], np.any(run[1:] != run[:-1], axis=1)])
     rows = np.empty_like(order)

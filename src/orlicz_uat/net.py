@@ -28,10 +28,11 @@ K, regardless of how the carried values degrade beyond the declared box.
 
 A network evaluates its input in row blocks carried feature-major, as
 (width x rows) arrays: a layer is one A @ Z and one bias add along the rows,
-in place, so it holds one block's activations at a time.  The last block
-takes the remainder, as BLAS rounds a product of a few columns with other
-kernels, and a block is padded to a multiple of _ROW_PAD rows, as BLAS may
-round a product's last rows with an edge kernel (OpenBLAS does past 1e6
+in place, so it holds one block's activations at a time, as many rows as
+_BLOCK_ACTIVATIONS allow its widest layer, at least _ROW_BLOCK.  The last
+block takes the remainder, as BLAS rounds a product of a few columns with
+other kernels, and a block is padded to a multiple of _ROW_PAD rows, as BLAS
+may round a product's last rows with an edge kernel (OpenBLAS does past 1e6
 multiply-adds).  So on one BLAS thread no row depends on the blocking.
 """
 from __future__ import annotations
@@ -47,9 +48,10 @@ from .errors import OrliczError, ValidationError, _frozen, _parsed
 
 _HIDDEN_ACTS = ("relu", "sigmoid", "tanh", "identity")
 _OUTPUT_ACT = "none"
-# points per block of a network evaluation, and per partial Gram sum of a
-# feature cache; a constant, so no sum's order depends on how a run is scheduled
+# points per partial Gram sum of a feature cache, and the fewest rows of an
+# evaluation block; a constant, so no sum's order depends on how a run is scheduled
 _ROW_BLOCK = 4096
+_BLOCK_ACTIVATIONS = 16 * _ROW_BLOCK  # at most, in an evaluation block's widest layer
 _ROW_PAD = 64  # a multiple of the row unrolling of common BLAS kernels
 # a written network may depart from the values it must reproduce by at most
 # this fraction of their largest magnitude, at least 1
@@ -136,7 +138,8 @@ class Network:
             raise ValidationError("input dimension mismatch")
         n = X.shape[0]
         out = np.empty((n, self.output_dim))
-        stops = [*range(_ROW_BLOCK, n - _ROW_BLOCK + 1, _ROW_BLOCK), n]  # the last takes the rest
+        block = max(_ROW_BLOCK, _BLOCK_ACTIVATIONS // max(max(lay.A.shape) for lay in self.layers))
+        stops = [*range(block, n - block + 1, block), n]  # the last takes the rest
         for start, stop in zip([0, *stops], stops):
             rows = stop - start  # padded by repeating rows: no point the caller did not pass
             z = np.resize(X[start:stop], (-(-rows // _ROW_PAD) * _ROW_PAD, X.shape[1])).T
@@ -173,11 +176,11 @@ class Network:
         return net
 
 
-def _check_agreement(net: Network, X, want, departure: str):
-    """OrliczError, its message starting with departure, unless net matches want on X."""
+def _check_agreement(got, want, departure: str):
+    """OrliczError, its message starting with departure, unless a network's values match want."""
     tol = _AGREEMENT_TOL * max(1.0, float(np.max(np.abs(want))))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gap is refused
-        gap = float(np.max(np.abs(net.evaluate_batch(X) - want)))
+        gap = float(np.max(np.abs(got - want)))
     if not gap <= tol:
         raise OrliczError(f"{departure} by {gap:.3g} (tolerance {tol:.3g})")
 

@@ -16,9 +16,10 @@ no network evaluated: the fit's readout, clipped to [c, C] in case ii.  Only
 the chosen entry becomes an artifact.  In case ii it is rewritten into
 register form and clipped, which equals the clipped fit on the box holding
 every support point; in case iv its readout bias is folded into a hidden
-unit.  That network is evaluated once and must agree with its scores, so the
-curve describes the written network.  The verification evaluates it again,
-directly, and takes the member density norms from the certificate.
+unit.  The verification evaluates the written network twice, at once on two
+threads: on the dominating support, where in cases ii and iv it must also
+agree with its scores, so the curve describes the written network, and on
+the member points.  It takes the member density norms from the certificate.
 
 One thread pool serves the whole schedule, with the standard library's
 default number of workers, ``min(32, os.cpu_count() + 4)``, so every seed of a
@@ -38,8 +39,7 @@ import numpy as np
 from . import serialize
 from .box import Box
 from .errors import HypothesisViolation, OrliczError, ValidationError, _count, _parsed
-from .fit import (_FIT_ACTS, FeatureCache, TargetFunction, fit_random_features,
-                  make_target, residual_table)
+from .fit import _FIT_ACTS, FeatureCache, TargetFunction, fit_random_features, make_target
 from .measure import (DiscreteMeasure, DlvpCertificate, MeasureFamily,
                       dlvp_certificate, sample_empirical)
 from .net import (Layer, Network, _check_agreement, clip_and_localize,
@@ -97,23 +97,32 @@ def verify_robust_bound(family: MeasureFamily, phi_M: YoungFunction,
                         psi_M: YoungFunction, f: TargetFunction, eta,
                         epsilon: float = math.nan,
                         gauge_tol: float = _GAUGE_TOL,
-                        certificate: DlvpCertificate | None = None) -> RobustReport:
+                        certificate: DlvpCertificate | None = None,
+                        check=None) -> RobustReport:
     """Populate a report and hard-assert the generalized Holder chain.
 
     Also checks, per member, that the direct L1 error equals the
     density-weighted integral against the dominating measure.  With the
     ``certificate`` that chose psi_M, the member density norms are taken
-    from it rather than recomputed.
+    from it rather than recomputed.  eta is evaluated once on the dominating
+    support and once, by ``robust_error``, on the member points, the two
+    passes at once on two threads; ``check``, if given, is called with the
+    first pass's values before they are used, and refuses them by raising.
     """
     density_norms = (family.density_norms(psi_M, gauge_tol) if certificate is None
                      else _certified_density_norms(family, psi_M, certificate, gauge_tol))
     mu = family.dominating
-    resid = residual_table(f, eta, mu)
-    per, sup_l1 = robust_error(family, f, eta)
+    with ThreadPoolExecutor(1) as pool:  # numpy releases the GIL in BLAS and ufunc loops
+        members = pool.submit(robust_error, family, f, eta)
+        on_mu = eta.evaluate_batch(mu.points)
+        if check is not None:
+            check(on_mu)
+        resid = FunctionTable(f.evaluate(mu.points) - on_mu)
+        gauge_error = gauge_norm(phi_M, mu, resid, tol=gauge_tol).value
+        per, sup_l1 = members.result()
     via_density = family.integrals(_point_norms(resid, "euclidean"))
     if np.any(np.abs(via_density - per) > _CHANGE_OF_MEASURE_RTOL * np.maximum(per, 1e-300)):
         raise OrliczError("change-of-measure identity failed for a member")
-    gauge_error = gauge_norm(phi_M, mu, resid, tol=gauge_tol).value
     density_norm_sup = float(max(density_norms))
     holder_rhs = 2.0 * gauge_error * density_norm_sup
     bound_holds = sup_l1 <= holder_rhs * (1.0 + _HOLDER_SLACK)
@@ -334,26 +343,22 @@ def _trial(case: str, cfg: dict, f: TargetFunction, cache: FeatureCache, width: 
     return g, scored
 
 
-def _written(case: str, cfg: dict, f: TargetFunction, box: Box, mu: DiscreteMeasure,
-             g: Network, scored) -> Network:
-    """The artifact for the chosen fit ``g``, checked against its scored values on mu.
+def _written(case: str, cfg: dict, f: TargetFunction, box: Box, g: Network) -> Network:
+    """The artifact for the chosen fit ``g``.
 
     Case ii rewrites g into register form on the delta-enlarged box and
     clips it; that equals clip(g, c, C) on the box, which holds every
     support point.  Case iv folds the readout bias into a hidden unit.
-    Cases i and iii, and the zero network, are written as fitted.
+    Cases i and iii, and the zero network, are written as fitted.  The
+    verification checks cases ii and iv against their scored values.
     """
     if len(g.layers) == 1 or case in ("i", "iii"):
         return g
     if case == "ii":
         c_lo, c_hi = _clip_range(cfg, f)
         reg = to_register_form(g, box.enlarged(cfg["delta"]))
-        eta = clip_and_localize(reg, box, cfg["delta"], c_lo, c_hi).network
-    else:
-        eta = _bias_as_hidden_unit(g)
-    _check_agreement(eta, mu.points, scored,
-                     f"the written case-{case} network departs from its scored values")
-    return eta
+        return clip_and_localize(reg, box, cfg["delta"], c_lo, c_hi).network
+    return _bias_as_hidden_unit(g)
 
 
 def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
@@ -407,9 +412,11 @@ def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
     del caches  # release the hidden features before the verification runs
     success = chosen is not None
     sup, width, seed, g, scored = chosen if success else best
-    eta = _written(case, cfg, f, box, mu_dom, g, scored)
-    report = verify_robust_bound(family, phi_M, psi_M, f, eta, epsilon=epsilon,
-                                 certificate=cert)
+    eta = _written(case, cfg, f, box, g)
+    departure = f"the written case-{case} network departs from its scored values"
+    report = verify_robust_bound(
+        family, phi_M, psi_M, f, eta, epsilon=epsilon, certificate=cert,
+        check=None if scored is None else lambda got: _check_agreement(got, scored, departure))
     out.mkdir(parents=True, exist_ok=True)
     paths = {"report": out / "report.json", "curve": out / "curve.csv",
              "network": out / "network.json"}

@@ -469,6 +469,24 @@ def test_fit_inputs_exit_cleanly(target, dim, phi, widths, seeds, activation, ri
     assert err.count("\n") <= 1
 
 
+_OVERFLOWING_SIDE = {"dim": 1, "points": [[-1e308], [0.0], [1e308]],
+                     "weights": [0.25, 0.5, 0.25]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["robust", "--config", "{dir}/cfg.json", "--out-dir", "{dir}/run"],
+    ["fit", "--target", "constant", "--measure", "{dir}/mu.json", "--phi", "power:2",
+     "--widths", "2"],
+])
+def test_a_support_side_past_the_double_range_exits_2(argv):
+    # -1e308 to 1e308 is a side of 2e308, which anchors no feature
+    cfg = {"case": "i", "family": {"kind": "members", "members": [_OVERFLOWING_SIDE]},
+           "target": {"name": "constant", "dim": 1}, "epsilon": 0.5, "widths": [2], "seeds": 1}
+    code, err = _cli(argv, [("cfg.json", cfg), ("mu.json", _OVERFLOWING_SIDE)])
+    assert (code, err) == (
+        2, "error: the support's bounding box has a side past the double range\n")
+
+
 @pytest.mark.parametrize("flag", ["--widths=", "--seeds="])
 def test_fit_refuses_an_empty_list(flag):
     code, err = _cli(["fit", "--target", "sin_product", "--measure", "{dir}/mu.json",

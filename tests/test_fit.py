@@ -110,12 +110,14 @@ def test_feature_draw_prefix_property():
     assert b16[:8].tolist() == b8.tolist()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**63 - 1), st.integers(1, 3), st.integers(1, 40), st.data())
 def test_feature_draw_is_the_spawned_child_stream(seed, dim, width, data):
-    # oracle: spawn all width children, then draw feature k from child k
+    # oracle: spawn all width children, then draw feature k from child k,
+    # its anchor by Generator.uniform on any box whose sides are doubles
     start = data.draw(st.integers(0, width - 1))
-    lo, hi = np.zeros(dim), np.arange(1.0, dim + 1.0)
+    ends = st.lists(st.floats(-1e307, 1e307), min_size=dim, max_size=dim)
+    lo, hi = np.sort([data.draw(ends), data.draw(ends)], axis=0)
     children = np.random.SeedSequence(seed).spawn(width)
     W_want, b_want = np.empty((width - start, dim)), np.empty(width - start)
     for row, k in enumerate(range(start, width)):

@@ -328,7 +328,7 @@ def test_family_matcher_against_a_dict_reference(members):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 2).flatmap(lambda d: st.lists(
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
     st.tuples(st.tuples(*[st.sampled_from(_GRID)] * d),
               st.one_of(st.just(0.0), st.floats(1e-3, 1.0))), min_size=1, max_size=40)))
 def test_canonical_support_against_np_unique(drawn):

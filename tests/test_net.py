@@ -91,6 +91,15 @@ def _blocked_deep_narrow_is_the_one_product(seed, depth, widths, acts, rows, dec
     _blocked_matches(seed, widths[:depth + 1], acts, rows, decades)
 
 
+def _long_blocks_are_the_one_product():
+    # a block holds at most 16 x 4,096 activations of its widest layer and
+    # never fewer than 4,096 rows: width 4 runs 16,384-row blocks, width 16
+    # sits on the budget and width 17 past it, both at 4,096 rows
+    for width, depth in ((4, 120), (16, 3), (17, 3)):
+        acts = ["relu", "identity", "tanh"] * (depth // 3 + 1)
+        _blocked_matches(width, [2, *[width] * depth, 1], acts, 2 * 16_384 + 37, 0.0)
+
+
 def test_blocked_evaluation_is_the_one_product_bit_for_bit():
     # on one BLAS thread, in a fresh interpreter: a threaded BLAS splits the
     # rows of a matrix-vector product among its threads and rounds a row by
@@ -98,7 +107,8 @@ def test_blocked_evaluation_is_the_one_product_bit_for_bit():
     paths = [str(Path(__file__).resolve().parent), str(Path(orlicz_uat.__file__).parents[1])]
     probe = (f"import sys; sys.path[:0] = {paths!r}; import test_net; "
              "test_net._blocked_is_the_one_product(); "
-             "test_net._blocked_deep_narrow_is_the_one_product()")
+             "test_net._blocked_deep_narrow_is_the_one_product(); "
+             "test_net._long_blocks_are_the_one_product()")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
@@ -414,7 +424,7 @@ def test_case_iv_artifact_folds_the_readout_bias():
         assert np.any(fitted.layers[1].b != 0.0)
         cache = FeatureCache(mu, f.evaluate(mu.points), act, 3, 1e-10, 6)
         cfg = {"activation": act, "ridge": 1e-10}
-        art = robust._written("iv", cfg, f, None, mu, *robust._trial("iv", cfg, f, cache, 6))
+        art = robust._written("iv", cfg, f, None, robust._trial("iv", cfg, f, cache, 6)[0])
         hid, out = art.layers
         assert out.b.tolist() == [0.0]
         assert hid.out_dim == 7

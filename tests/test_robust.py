@@ -307,7 +307,7 @@ def test_artifacts_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, over
     for name in ("report.json", "curve.csv", "network.json"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
     # the program asks for the default pool, which OneWorker overrode
-    assert sizes == [((), {})]
+    assert sizes == [((), {}), ((1,), {})]  # then one worker for the verification's member pass
     assert len(threads["one"]) == 1 and len(threads["default"]) > 1
 
 
@@ -329,6 +329,29 @@ def test_feature_caches_are_released_before_verification(tmp_path, monkeypatch):
     monkeypatch.setattr(robust, "verify_robust_bound", checked)
     run_robust_experiment(base_config(tmp_path, epsilon=1e-9))
     assert len(caches) == 2
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"case": "ii", "activation": "relu"}, {"case": "iv"}])
+def test_the_written_network_is_evaluated_once_per_point_set(tmp_path, monkeypatch, overrides):
+    # the members share 17 points, so the 33-point dominating support and
+    # the 50 stacked member points tell the two passes apart
+    members = [{"dim": 1, "points": np.linspace(0.0, 1.0, n)[:, None].tolist(),
+                "weights": np.full(n, 1.0 / n).tolist()} for n in (33, 17)]
+    calls = []
+    evaluate = Network.evaluate_batch
+
+    def counted(net, X):
+        calls.append((net.to_json_dict(), len(X)))
+        return evaluate(net, X)
+
+    monkeypatch.setattr(Network, "evaluate_batch", counted)
+    run_robust_experiment(base_config(tmp_path, epsilon=1e-9, widths=[4, 8], seeds=2,
+                                      family={"kind": "members", "members": members},
+                                      **overrides))
+    written = json.loads((tmp_path / "network.json").read_text())
+    assert sorted(n for _, n in calls) == [33, 50]
+    assert all(net == written for net, _ in calls)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -354,7 +377,7 @@ def test_curve_rows_match_direct_member_errors(tmp_path, monkeypatch, overrides)
 
     def recording(case, cfg, f, cache, width):
         g, scored = trial(case, cfg, f, cache, width)
-        eta = robust._written(case, cfg, f, box, cache.mu, g, scored)
+        eta = robust._written(case, cfg, f, box, g)
         candidates[(width, cache.seed)] = (f, eta)
         return g, scored
 
