@@ -36,7 +36,11 @@ class Box:
 
     def contains(self, points: np.ndarray, atol: float = 0.0) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return np.all((pts >= self.lo - atol) & (pts <= self.hi + atol), axis=1)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValidationError(f"points must have {self.dim} coordinates, as the box has")
+        # a reduce over columns: all(axis=1) over short rows is several times slower
+        return np.logical_and.reduce([(pts[:, k] >= self.lo[k] - atol) &
+                                      (pts[:, k] <= self.hi[k] + atol) for k in range(self.dim)])
 
     def covers(self, other: "Box") -> bool:
         return bool(np.all(self.lo <= other.lo) and np.all(self.hi >= other.hi))

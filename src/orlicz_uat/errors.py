@@ -22,6 +22,16 @@ def _parsed(key: str, convert, value):
         raise ValidationError(f"bad value for {key}: {value!r:.80}") from None
 
 
+def _known(obj: dict, keys, what: str, required=()) -> dict:
+    """obj, refused by a ValidationError naming its keys outside keys or required ones it lacks."""
+    unknown, missing = sorted(set(obj) - set(keys)), sorted(set(required) - set(obj))
+    if unknown:
+        raise ValidationError(f"unknown {what} keys: {unknown}")
+    if missing:
+        raise ValidationError(f"{what} is missing {missing}")
+    return obj
+
+
 def _frozen(arr: np.ndarray, given) -> np.ndarray:
     """arr made read-only, copied first if it may share memory with given, the caller's array."""
     if np.may_share_memory(arr, given):

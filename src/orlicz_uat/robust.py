@@ -38,7 +38,7 @@ import numpy as np
 
 from . import serialize
 from .box import Box
-from .errors import HypothesisViolation, OrliczError, ValidationError, _count, _parsed
+from .errors import HypothesisViolation, OrliczError, ValidationError, _count, _known, _parsed
 from .fit import _FIT_ACTS, FeatureCache, TargetFunction, fit_random_features, make_target
 from .measure import (DiscreteMeasure, DlvpCertificate, MeasureFamily,
                       dlvp_certificate, sample_empirical)
@@ -151,19 +151,12 @@ _FAMILY_KINDS = {
 }
 
 
-def _hull_box(members) -> Box:
-    pts = np.concatenate([m.points for m in members])
-    return Box(np.min(pts, axis=0), np.max(pts, axis=0))
-
-
 def _mixture_spec(rng: np.random.Generator, box: Box) -> dict:
     extent = box.hi - box.lo
-    comps = []
-    for _ in range(2):
-        comps.append({"weight": float(rng.uniform(0.3, 0.7)),
-                      "mean": (box.lo + extent * rng.uniform(0.1, 0.9, size=box.dim)).tolist(),
-                      "std": (extent * rng.uniform(0.05, 0.2, size=box.dim)).tolist()})
-    return {"name": "mixture", "components": comps}
+    return {"name": "mixture", "components": [
+        {"weight": rng.uniform(0.3, 0.7),
+         "mean": box.lo + extent * rng.uniform(0.1, 0.9, size=box.dim),
+         "std": extent * rng.uniform(0.05, 0.2, size=box.dim)} for _ in range(2)]}
 
 
 def build_family(spec: dict):
@@ -173,16 +166,12 @@ def build_family(spec: dict):
     kind = spec["kind"]
     if not isinstance(kind, str) or kind not in _FAMILY_KINDS:
         raise ValidationError(f"unknown family kind {kind!r}")
-    extra = set(spec) - _FAMILY_KINDS[kind]
-    if extra:
-        raise ValidationError(f"unknown family keys: {sorted(extra)}")
-    missing = _FAMILY_KINDS[kind] - set(spec)
-    if missing:
-        raise ValidationError(f"family spec is missing {sorted(missing)}")
+    _known(spec, _FAMILY_KINDS[kind], "family", _FAMILY_KINDS[kind])
     if kind == "members":
-        members = _parsed("members", lambda v: [DiscreteMeasure.from_json_dict(m) for m in v],
-                         spec["members"])
-        return MeasureFamily.from_members(members), _hull_box(members)
+        family = MeasureFamily.from_members(_parsed(
+            "members", lambda v: [DiscreteMeasure.from_json_dict(m) for m in v], spec["members"]))
+        hull = family.dominating.points  # every member point has mass
+        return family, Box(hull.min(axis=0), hull.max(axis=0))
     box = Box.from_json_dict(spec["box"])
     n = _parsed("points", _count, spec["points"])
     master = np.random.SeedSequence(_parsed("seed", _count, spec["seed"]))
@@ -240,12 +229,7 @@ def _finite_positive(value) -> float:
 def _validate_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise ValidationError("config must be an object")
-    extra = set(config) - _CONFIG_KEYS
-    if extra:
-        raise ValidationError(f"unknown config keys: {sorted(extra)}")
-    missing = _REQUIRED_KEYS - set(config)
-    if missing:
-        raise ValidationError(f"config is missing {sorted(missing)}")
+    _known(config, _CONFIG_KEYS, "config", _REQUIRED_KEYS)
     cfg = dict(config)
     if cfg["case"] not in _CASES:
         raise ValidationError(f"case must be one of {_CASES}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnboundedConjugateError, ValidationError, _frozen, _parsed
+from .errors import UnboundedConjugateError, ValidationError, _frozen, _known, _parsed
 
 POWER = "power"
 EXP_MINUS_LINEAR = "exp_minus_linear"
@@ -160,19 +160,10 @@ class YoungFunction:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValidationError("Young function object needs a kind key")
         kind = obj["kind"]
-        if kind == POWER:
-            extra = set(obj) - {"kind", "p", "scale"}
-        elif kind == TABULATED:
-            extra = set(obj) - {"kind", "grid", "values"}
-        else:
-            extra = set(obj) - {"kind"}
-        if extra:
-            raise ValidationError(f"unknown keys in Young function object: {sorted(extra)}")
-        if kind == POWER:
-            return cls(POWER, p=obj.get("p"), scale=obj.get("scale"))
-        if kind == TABULATED:
-            return cls(TABULATED, grid=obj.get("grid"), values=obj.get("values"))
-        return cls(kind)
+        params = {POWER: ("p", "scale"), TABULATED: ("grid", "values")}.get(
+            kind if isinstance(kind, str) else None, ())
+        _known(obj, ("kind", *params), "Young function")
+        return cls(kind, **{key: obj.get(key) for key in params})
 
 
 def power(p: float, scale: float = 1.0) -> YoungFunction:

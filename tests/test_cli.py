@@ -554,6 +554,41 @@ def test_robust_config_names_the_bad_key(tmp_path, capsys, key, value, named):
     assert err.startswith(f"error: bad value for {named}: ") and err.count("\n") == 1, err
 
 
+_MIX = {"weight": 1.0, "mean": [0.5], "std": [0.2]}
+
+
+@pytest.mark.parametrize("sampler, message", [
+    ({"name": "mixture", "components": [dict(_MIX, std=-0.1)]}, "bad value for std: -0.1"),
+    ({"name": "gaussian", "std": [-0.1]}, "bad value for std: [-0.1]"),
+    ({"name": "mixture", "components": [dict(_MIX, scale=1.0)]},
+     "unknown mixture component keys: ['scale']"),
+    ({"name": "mixture", "components": [_MIX], "spread": 1.0},
+     "unknown mixture sampler keys: ['spread']"),
+    ({"name": "gaussian", "mean": [3.0], "std": [0.1]},
+     "gaussian sampler kept missing the clip box"),
+    ({"name": "mixture", "components": [dict(_MIX, weight=1e308)] * 2},
+     "mixture component weights must be positive, with a finite sum"),
+])
+def test_robust_refuses_a_bad_sampler_in_one_line(sampler, message):
+    cfg = dict(_FUZZ_CONFIGS["i"], family=dict(_FUZZ_BASE["family"], samplers=[sampler]))
+    code, err = _cli(["robust", "--config", "{dir}/cfg.json", "--out-dir", "{dir}/run"],
+                     [("cfg.json", cfg)])
+    assert (code, err) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("kind", ["mixtures", "samplers"])
+def test_robust_samples_a_box_with_a_zero_width_side(kind):
+    box = {"lo": [0.0, 0.5], "hi": [1.0, 0.5]}
+    mixture = {"name": "mixture", "components": [dict(_MIX, std=[0.2, 0.0]), dict(_MIX, std=0.0)]}
+    family = ({"kind": kind, "count": 3, "points": 24, "seed": 5, "box": box} if kind == "mixtures"
+              else dict(_FUZZ_BASE["family"], box=box,
+                        samplers=["uniform", {"name": "gaussian"}, mixture]))
+    cfg = dict(_FUZZ_CONFIGS["i"], family=family, target={"name": "sin_product", "dim": 2})
+    code, err = _cli(["robust", "--config", "{dir}/cfg.json", "--out-dir", "{dir}/run"],
+                     [("cfg.json", cfg)])
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("compact_box", [
     {"lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]},  # numpy cannot broadcast it
     {"lo": [0.0], "hi": [0.5]},  # numpy broadcasts it to both coordinates

@@ -123,7 +123,8 @@ def test_feature_draw_is_the_spawned_child_stream(seed, dim, width, data):
     for row, k in enumerate(range(start, width)):
         rng = np.random.default_rng(children[k])
         W_want[row] = rng.standard_normal(dim)
-        b_want[row] = -float(W_want[row] @ rng.uniform(lo, hi))
+        # + 0.0: uniform refuses lo = 0.0 above hi = -0.0, which sort as equals
+        b_want[row] = -float(W_want[row] @ rng.uniform(lo + 0.0, hi + 0.0))
     W, b = draw_features(dim, width, seed, lo, hi, start=start)
     assert np.array_equal(W, W_want) and np.array_equal(b, b_want)
 

@@ -20,6 +20,11 @@ def test_box_validation_and_queries():
     outside = np.array([[1.5, 0.0]])
     assert bool(np.all(box.contains(inside)))
     assert not bool(np.any(box.contains(outside)))
+    for wrong in (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros((1, 2, 2))):
+        with pytest.raises(ValidationError, match="2 coordinates"):
+            box.contains(wrong)
+    with pytest.raises(ValidationError, match="1 coordinates"):
+        Box([0.0], [1.0]).contains([[0.5, 7.0]])  # a column past the box's is not ignored
     with pytest.raises(ValidationError):
         Box(np.array([1.0]), np.array([0.0]))
     with pytest.raises(ValidationError):
@@ -104,6 +109,10 @@ def test_make_discrete_errors():
         make_discrete([[0.0]], [0.0])
     with pytest.raises(ValidationError):
         make_discrete(np.zeros((2, 0)), [0.5, 0.5])
+    with pytest.raises(ValidationError, match="finite"):  # a merged weight past the double range
+        make_discrete([[0.0], [0.0]], [1e308, 1e308])
+    with pytest.raises(ValidationError, match="finite"):
+        MeasureFamily([DiscreteMeasure([[0.0], [0.0]], [1e308, 1e308])])
 
 
 def test_make_discrete_scalar_points_promote():
@@ -153,6 +162,76 @@ def test_sample_empirical_unknown_kind():
     box = Box(np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValidationError):
         sample_empirical({"name": "cauchy"}, 4, seed=0, clip_box=box)
+
+
+_MIX_1D = {"weight": 1.0, "mean": [0.5], "std": [0.2]}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"name": "mixture", "components": [dict(_MIX_1D, std=-0.1)]}, "bad value for std: -0.1"),
+    ({"name": "mixture", "components": [dict(_MIX_1D, std=[0.1, -0.1])]},
+     "bad value for std: [0.1, -0.1]"),
+    ({"name": "gaussian", "std": -0.1}, "bad value for std: -0.1"),
+    ({"name": "mixture", "components": [dict(_MIX_1D, scale=2.0)]},
+     "unknown mixture component keys: ['scale']"),
+    ({"name": "mixture", "components": [_MIX_1D], "spread": 1.0},
+     "unknown mixture sampler keys: ['spread']"),
+    ({"name": "gaussian", "mu": 0.5}, "unknown gaussian sampler keys: ['mu']"),
+    ({"name": "uniform", "lo": 0.0}, "unknown uniform sampler keys: ['lo']"),
+    ({"name": "mixture", "components": []}, "mixture sampler needs a nonempty components list"),
+    ({"name": "mixture", "components": [dict(_MIX_1D, weight=1e308)] * 2},
+     "mixture component weights must be positive, with a finite sum"),
+    ({"name": "mixture", "components": [dict(_MIX_1D, weight=float("nan"))]},
+     "mixture component weights must be positive, with a finite sum"),
+])
+def test_sampler_refuses_a_negative_std_and_unknown_keys_by_name(spec, message):
+    with pytest.raises(ValidationError) as err:
+        sample_empirical(spec, 8, seed=0, clip_box=Box([0.0, 0.0], [1.0, 1.0]))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("spec", [
+    "uniform", {"name": "gaussian"}, {"name": "gaussian", "mean": [0.3, 0.5], "std": [0.1, 0.0]},
+    {"name": "mixture", "components": [{"weight": 1.0, "mean": [0.3, 0.5], "std": [0.1, 0.0]},
+                                       {"weight": 2.0, "mean": 0.5, "std": 0.0}]},
+])
+def test_samplers_accept_a_zero_std_and_a_box_with_a_zero_width_side(spec):
+    box = Box([0.0, 0.5], [1.0, 0.5])
+    mu = sample_empirical(spec, 64, seed=3, clip_box=box)
+    assert bool(np.all(box.contains(mu.points))) and np.all(mu.points[:, 1] == 0.5)
+    assert mu.total_mass == pytest.approx(1.0, rel=1e-15)
+
+
+def test_a_zero_std_draws_the_mean_with_all_the_mass():
+    box = Box([0.0], [1.0])
+    for spec in ({"name": "gaussian", "mean": 0.25, "std": 0.0},
+                 {"name": "mixture", "components": [dict(_MIX_1D, mean=0.25, std=0.0)]}):
+        mu = sample_empirical(spec, 5, seed=1, clip_box=box)
+        assert mu.points.tolist() == [[0.25]]
+        assert mu.weights.tolist() == [0.2 + 0.2 + 0.2 + 0.2 + 0.2]  # summed in draw order
+
+
+def test_a_sampler_wholly_outside_the_box_gives_up_after_the_last_round(monkeypatch):
+    rounds = []
+    contains = Box.contains
+    monkeypatch.setattr(Box, "contains", lambda self, pts: rounds.append(1) or contains(self, pts))
+    for spec in ({"name": "gaussian", "mean": 2.0, "std": 0.1},
+                 {"name": "mixture", "components": [dict(_MIX_1D, mean=-2.0, std=0.0)]}):
+        rounds.clear()
+        with pytest.raises(ValidationError) as err:
+            sample_empirical(spec, 3, seed=0, clip_box=Box([0.0], [1.0]))
+        assert str(err.value) == f"{spec['name']} sampler kept missing the clip box"
+        assert len(rounds) == measure._REJECTION_ROUNDS
+
+
+def test_a_round_that_overfills_keeps_the_first_in_box_points_in_draw_order():
+    rounds = iter([np.array([[0.1], [5.0], [0.2]]),
+                   np.array([[0.3], [-1.0], [0.4], [0.5], [0.6]])])
+    kept = measure._kept_in_box(lambda: next(rounds), 4, Box([0.0], [1.0]), "scripted")
+    assert kept.tolist() == [[0.1], [0.2], [0.3], [0.4]]
+    one = measure._kept_in_box(lambda: np.array([[0.7], [0.2], [2.0], [0.9]]), 2,
+                               Box([0.0], [1.0]), "scripted")
+    assert one.tolist() == [[0.7], [0.2]]
 
 
 def test_dominating_measure_average_of_point_masses():

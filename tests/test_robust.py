@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orlicz_uat import (Box, HypothesisViolation, Layer, MeasureFamily, Network,
-                        OrliczError, ValidationError, associated_young_pair,
+from orlicz_uat import (Box, DiscreteMeasure, HypothesisViolation, Layer, MeasureFamily,
+                        Network, OrliczError, ValidationError, associated_young_pair,
                         build_family, constant, entropy, fit_random_features,
-                        from_table, make_discrete, make_target, power,
+                        from_table, make_discrete, make_target, power, radon_nikodym,
                         report_json_dict, robust, robust_error,
                         run_robust_experiment, serialize, verify_robust_bound,
                         zero_network)
@@ -309,6 +311,104 @@ def test_artifacts_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, over
     # the program asks for the default pool, which OneWorker overrode
     assert sizes == [((), {}), ((1,), {})]  # then one worker for the verification's member pass
     assert len(threads["one"]) == 1 and len(threads["default"]) > 1
+
+
+def _reference_points(sampler, n: int, seed: int, box: Box) -> np.ndarray:
+    """sample_empirical's n points, made plainly: the same random calls, each
+    round's in-box candidates appended, the first n kept."""
+    rng, d = np.random.default_rng(seed), box.dim
+    spec = {"name": sampler} if isinstance(sampler, str) else sampler
+    if spec["name"] == "uniform":
+        return rng.uniform(box.lo, box.hi, size=(n, d))
+    comps = spec.get("components") or [{"weight": 1.0,
+                                        "mean": spec.get("mean", 0.5 * (box.lo + box.hi)),
+                                        "std": spec.get("std", 0.25 * (box.hi - box.lo))}]
+    probs = np.array([c["weight"] for c in comps])
+    kept = np.empty((0, d))
+    while kept.shape[0] < n:
+        if spec["name"] == "gaussian":
+            cand = np.asarray(comps[0]["mean"]) + np.asarray(comps[0]["std"]) * \
+                rng.standard_normal((n, d))
+        else:
+            idx = rng.choice(len(comps), size=n, p=probs / probs.sum())
+            cand = np.empty((n, d))
+            for k, c in enumerate(comps):
+                cand[idx == k] = (np.asarray(c["mean"]) + np.asarray(c["std"])
+                                  * rng.standard_normal((np.sum(idx == k), d)))
+        kept = np.concatenate([kept, cand[np.all((cand >= box.lo) & (cand <= box.hi), axis=1)]])
+    return kept[:n]
+
+
+def _reference_canonical(pts, w):
+    """Support, weights and each row's support row, by a lexicographic unique."""
+    support, inverse = np.unique(pts + 0.0, axis=0, return_inverse=True)
+    return support, np.bincount(inverse.ravel(), w), inverse.ravel()
+
+
+def _reference_family(spec: dict):
+    """build_family's members, dominating measure, rows and densities, made plainly."""
+    box = Box.from_json_dict(spec["box"])
+    master, n = np.random.SeedSequence(spec["seed"]), spec["points"]
+    if spec["kind"] == "samplers":
+        draws = [(s, int(child.generate_state(1)[0]))
+                 for s, child in zip(spec["samplers"], master.spawn(len(spec["samplers"])))]
+    else:
+        draws, extent = [], box.hi - box.lo
+        for child in master.spawn(spec["count"]):
+            spec_seed, sample_seed = child.generate_state(2)
+            rng = np.random.default_rng(int(spec_seed))
+            comps = [{"weight": rng.uniform(0.3, 0.7),
+                      "mean": box.lo + extent * rng.uniform(0.1, 0.9, size=box.dim),
+                      "std": extent * rng.uniform(0.05, 0.2, size=box.dim)} for _ in range(2)]
+            draws.append(({"name": "mixture", "components": comps}, int(sample_seed)))
+    members = [DiscreteMeasure(*_reference_canonical(_reference_points(s, n, seed, box),
+                                                     np.full(n, 1.0 / n))[:2])
+               for s, seed in draws]
+    *mu, found = _reference_canonical(np.concatenate([m.points for m in members]),
+                                      np.concatenate([m.weights for m in members]) / len(members))
+    mu = DiscreteMeasure(*mu)
+    ends = np.cumsum([m.support_size for m in members])
+    rows = [np.unique(found[end - m.support_size:end]) for m, end in zip(members, ends)]
+    return members, mu, rows, [radon_nikodym(m, mu)[j] for m, j in zip(members, rows)]
+
+
+@st.composite
+def _family_specs(draw):
+    """mixtures and samplers families; a box side may have zero width, and every
+    sampler's mean lies in the box, with a std at most its side."""
+    d = draw(st.integers(1, 3))
+    lo = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+    side = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=d,
+                                  max_size=d)))
+    spec = {"points": draw(st.integers(1, 300)), "seed": draw(st.integers(0, 2**32 - 1)),
+            "box": {"lo": lo.tolist(), "hi": (lo + side).tolist()}}
+    if draw(st.booleans()):
+        return dict(spec, kind="mixtures", count=draw(st.integers(1, 6)))
+    unit = st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d).map(np.array)
+    component = st.builds(lambda w, u, v: {"weight": w, "mean": (lo + side * u).tolist(),
+                                           "std": (side * v).tolist()},
+                          st.floats(0.1, 2.0), unit, unit)
+    sampler = st.one_of(
+        st.just("uniform"), st.just({"name": "gaussian"}),
+        component.map(lambda c: {"name": "gaussian", "mean": c["mean"], "std": c["std"]}),
+        st.lists(component, min_size=1, max_size=3).map(
+            lambda cs: {"name": "mixture", "components": cs}))
+    return dict(spec, kind="samplers", samplers=draw(st.lists(sampler, min_size=1, max_size=6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_family_specs())
+def test_build_family_matches_a_plain_reference(spec):
+    family, _ = build_family(spec)
+    members, mu, rows, densities = _reference_family(spec)
+    assert len(family.members) == len(members)
+    got = [family.dominating.points, family.dominating.weights, *family.rows, *family.densities]
+    want = [mu.points, mu.weights, *rows, *densities]
+    for nu, ref in zip(family.members, members):
+        got += [nu.points, nu.weights]
+        want += [ref.points, ref.weights]
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def test_feature_caches_are_released_before_verification(tmp_path, monkeypatch):
