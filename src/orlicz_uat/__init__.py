@@ -5,8 +5,7 @@ from .box import Box
 from .errors import (AbsoluteContinuityError, BracketingError, FitSolverError,
                      HypothesisViolation, OrliczError, UnboundedConjugateError,
                      ValidationError)
-from .fit import (CurveRow, TargetFunction, approximation_curve, constant,
-                  curve_csv_rows, draw_features, fit_random_features,
+from .fit import (TargetFunction, constant, draw_features, fit_random_features,
                   from_table, gaussian_blob, make_target, residual_table,
                   sin_product, smooth_step)
 from .measure import (DiscreteMeasure, DlvpCertificate, MeasureFamily,
@@ -21,9 +20,10 @@ from .net import (AdditiveFamilyReport, AffineFamily, AffineMap, Layer,
                   zero_network)
 from .orlicz import (FunctionTable, GaugeNormResult, HolderReport, gauge_norm,
                      holder_check, l1_norm, modular)
-from .robust import (RobustReport, RobustRunResult, associated_young_pair,
-                     build_family, report_json_dict, robust_error,
-                     run_robust_experiment, verify_robust_bound)
+from .robust import (CurveRow, RobustReport, RobustRunResult, approximation_curve,
+                     associated_young_pair, build_family, curve_csv_rows,
+                     report_json_dict, robust_error, run_robust_experiment,
+                     verify_robust_bound)
 from .young import (YoungFunction, YoungInequalityReport,
                     check_young_inequality, complementary, entropy,
                     exp_minus_linear, power, tabulated)

@@ -34,13 +34,13 @@ class Box:
             raise ValidationError("enlargement margin must be nonnegative")
         return Box(self.lo - margin, self.hi + margin)
 
-    def contains(self, points: np.ndarray, atol: float = 0.0) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValidationError(f"points must have {self.dim} coordinates, as the box has")
         # a reduce over columns: all(axis=1) over short rows is several times slower
-        return np.logical_and.reduce([(pts[:, k] >= self.lo[k] - atol) &
-                                      (pts[:, k] <= self.hi[k] + atol) for k in range(self.dim)])
+        return np.logical_and.reduce([(pts[:, k] >= self.lo[k]) & (pts[:, k] <= self.hi[k])
+                                      for k in range(self.dim)])
 
     def covers(self, other: "Box") -> bool:
         return bool(np.all(self.lo <= other.lo) and np.all(self.hi >= other.hi))

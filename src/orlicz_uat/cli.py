@@ -151,11 +151,11 @@ def _cmd_fit(args) -> int:
     target = fitmod.make_target({"name": args.target, "dim": args.dim})
     mu = DiscreteMeasure.from_json_dict(_load_json(args.measure))
     phi = parse_young_spec(args.phi)
-    rows = fitmod.approximation_curve(
+    rows = robustmod.approximation_curve(
         target, mu, phi, _parse_int_list(args.widths),
         activation=args.activation, seeds=_parse_int_list(args.seeds),
         ridge=args.ridge)
-    emit(fitmod.curve_csv_rows(rows), "csv", args.out)
+    emit(robustmod.curve_csv_rows(rows), "csv", args.out)
     return 0
 
 

@@ -48,6 +48,13 @@ def _count(value) -> int:
     return n
 
 
+def _counts(values) -> list:
+    """A nonempty list of counts, as ``_count`` takes each."""
+    if not (counts := [_count(v) for v in values]):
+        raise ValueError("empty list")
+    return counts
+
+
 class UnboundedConjugateError(OrliczError):
     """The convex conjugate diverges, or leaves the double range."""
 

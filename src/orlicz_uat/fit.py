@@ -1,4 +1,4 @@
-"""Candidate approximators: random-feature least squares.
+"""Targets and candidate approximators: random-feature least squares.
 
 The fitter draws hidden features deterministically from a seed, one child
 seed stream per feature, so the features for width w are a prefix of the
@@ -8,12 +8,12 @@ a gauge norm directly; gauge errors are evaluated after the fact.
 
 There is one fit path, ``FeatureCache``: one seed's design matrix on the
 support, feature-major with the intercept's row first, and the weighted Gram
-matrix of the features drawn so far.  A width/seed schedule keeps one cache
-per seed and grows it, so widening draws and activates only the new features
-and adds only the Gram border, summed over fixed blocks of support points in
-block order; a standalone ``fit_random_features`` call grows a fresh cache
-once.  Every width's readout comes from a Cholesky factorization of its own
-assembled system, with the intercept last.
+matrix of the features drawn so far.  The width/seed schedule of the ``fit``
+curve and the robust run, ``robust._schedule``, grows one cache per seed, so
+widening draws and activates only the new features and adds only the Gram
+border, summed over fixed blocks of support points in block order; a lone
+``fit_random_features`` call grows a fresh cache once.  Every width's readout
+comes from a Cholesky factorization of its own system, intercept last.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import FitSolverError, ValidationError, _count, _parsed
 from .measure import DiscreteMeasure, _match_rows
 from .net import _ROW_BLOCK, _ROW_PAD, Layer, Network, _apply_activation
-from .orlicz import FunctionTable, gauge_norm, l1_norm
+from .orlicz import FunctionTable
 
 _FIT_ACTS = ("relu", "sigmoid", "tanh")
 _DEFAULT_RIDGE = 1e-10
@@ -278,44 +278,3 @@ def fit_random_features(f: TargetFunction, mu: DiscreteMeasure, width: int,
 
 def residual_table(f: TargetFunction, eta, mu: DiscreteMeasure) -> FunctionTable:
     return FunctionTable(f.evaluate(mu.points) - eta.evaluate_batch(mu.points))
-
-
-@dataclass(frozen=True)
-class CurveRow:
-    width: int
-    seed: int
-    gauge_error: float
-    l1_error: float
-
-
-def approximation_curve(f: TargetFunction, mu: DiscreteMeasure, phi,
-                        widths, activation: str = "relu", seeds=(0, 1, 2),
-                        ridge: float = _DEFAULT_RIDGE) -> list:
-    """One row per (width, seed): gauge and L1 errors of the fitted residual.
-
-    Each seed's fit grows through the widths in one ``FeatureCache``.
-    """
-    widths = [int(w) for w in widths]
-    values = f.evaluate(mu.points)
-    capacity = max([0, *widths])
-    caches = [FeatureCache(mu, values, activation, int(seed), ridge, capacity) for seed in seeds]
-    rows = []
-    for width in widths:
-        for cache in caches:
-            eta = fit_random_features(f, mu, width, activation, cache.seed, ridge, cache)
-            resid = FunctionTable(values - cache.predict(eta))
-            g = gauge_norm(phi, mu, resid).value
-            l1 = l1_norm(mu, resid)
-            rows.append(CurveRow(width, cache.seed, g, l1))
-    return rows
-
-
-def curve_csv_rows(rows) -> tuple:
-    """CSV form of a curve; the reserved fit_millis column is pinned to 0.
-
-    A wall-clock column would make otherwise identical runs produce
-    different bytes, so reproducibility wins and the column stays constant.
-    """
-    header = ("width", "seed", "gauge_error", "l1_error", "fit_millis")
-    body = [(r.width, r.seed, r.gauge_error, r.l1_error, 0) for r in rows]
-    return header, body

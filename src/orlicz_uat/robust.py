@@ -11,21 +11,22 @@ which every produced report asserts unconditionally.  Success of a run means
 the measured sup_l1 dropped below the configured epsilon; the certificate is
 reported, not used as the stopping rule.
 
-Every schedule entry is scored from its seed's cached hidden features, with
-no network evaluated: the fit's readout, clipped to [c, C] in case ii.  Only
-the chosen entry becomes an artifact.  In case ii it is rewritten into
-register form and clipped, which equals the clipped fit on the box holding
-every support point; in case iv its readout bias is folded into a hidden
-unit.  The verification evaluates the written network twice, at once on two
-threads: on the dominating support, where in cases ii and iv it must also
-agree with its scores, so the curve describes the written network, and on
-the member points.  It takes the member density norms from the certificate.
+One schedule runner, ``_schedule``, serves the robust run and the ``fit``
+curve.  Every schedule entry is scored from its seed's cached hidden
+features, with no network evaluated: the fit's readout, clipped to [c, C] in
+case ii.  Only the chosen entry becomes an artifact.  In case ii it is
+rewritten into register form and clipped, which equals the clipped fit on
+the box holding every support point; in case iv its readout bias is folded
+into a hidden unit.  The verification evaluates the written network twice,
+at once on two threads: on the dominating support, where it must also agree
+with its scores, so the curve describes the written network, and on the
+member points.  It takes the member density norms from the certificate.
 
 One thread pool serves the whole schedule, with the standard library's
 default number of workers, ``min(32, os.cpu_count() + 4)``, so every seed of a
 width runs at once unless there are more seeds than that.  Each task grows
-only its own seed's cache, whose sums run in a fixed order, so the artifacts
-do not depend on the worker count.
+only its own seed's cache, whose sums run in a fixed order, so the results
+and the artifacts do not depend on the worker count.
 """
 from __future__ import annotations
 
@@ -38,8 +39,10 @@ import numpy as np
 
 from . import serialize
 from .box import Box
-from .errors import HypothesisViolation, OrliczError, ValidationError, _count, _known, _parsed
-from .fit import _FIT_ACTS, FeatureCache, TargetFunction, fit_random_features, make_target
+from .errors import (HypothesisViolation, OrliczError, ValidationError, _count, _counts,
+                     _known, _parsed)
+from .fit import (_DEFAULT_RIDGE, _FIT_ACTS, FeatureCache, TargetFunction,
+                  fit_random_features, make_target)
 from .measure import (DiscreteMeasure, DlvpCertificate, MeasureFamily,
                       dlvp_certificate, sample_empirical)
 from .net import (Layer, Network, _check_agreement, clip_and_localize,
@@ -236,19 +239,15 @@ def _validate_config(config: dict) -> dict:
     cfg["epsilon"] = _parsed("epsilon", float, cfg["epsilon"])
     if not (cfg["epsilon"] > 0.0):
         raise ValidationError("epsilon must be positive")
-    widths = cfg.get("widths", _DEFAULT_WIDTHS)
-    cfg["widths"] = _parsed("widths", lambda v: [_count(w) for w in v], widths)
-    seeds = cfg.get("seeds", _DEFAULT_SEEDS)
-    seeds = range(seeds) if isinstance(seeds, int) else seeds
-    cfg["seeds"] = _parsed("seeds", lambda v: [_count(s) for s in v], seeds)
-    if not cfg["widths"] or not cfg["seeds"]:
-        raise ValidationError("widths and seeds must be nonempty")
+    cfg["widths"] = _parsed("widths", _counts, cfg.get("widths", _DEFAULT_WIDTHS))
+    cfg["seeds"] = _parsed("seeds", lambda v: _counts(range(v) if isinstance(v, int) else v),
+                           cfg.get("seeds", _DEFAULT_SEEDS))
     cfg.setdefault("activation", _DEFAULT_ACTIVATION[cfg["case"]])
     if cfg["activation"] not in _FIT_ACTS:
         raise ValidationError(f"bad value for activation: {cfg['activation']!r:.80}")
     # the register rewrite of case ii enlarges the box by delta
     cfg["delta"] = _parsed("delta", _finite_positive, cfg.get("delta", 0.05))
-    cfg["ridge"] = _parsed("ridge", float, cfg.get("ridge", 1e-10))
+    cfg["ridge"] = _parsed("ridge", float, cfg.get("ridge", _DEFAULT_RIDGE))
     if "clip_range" in cfg:
         cfg["clip_range"] = _parsed(
             "clip_range", lambda v: np.asarray(v, dtype=np.float64).reshape(2), cfg["clip_range"])
@@ -308,23 +307,60 @@ def _clip_range(cfg: dict, f: TargetFunction) -> tuple:
     return -f.bound, f.bound
 
 
-def _trial(case: str, cfg: dict, f: TargetFunction, cache: FeatureCache, width: int):
-    """The fit for one schedule entry and its scored values on the cache's support.
+def _schedule(f: TargetFunction, mu: DiscreteMeasure, phi: YoungFunction, widths, seeds,
+              activation: str, ridge: float, clip=None):
+    """Yield each width with its seeds' (fit, scored values, residual, phi gauge norm).
 
-    Width 0 is the zero network.  Every other entry is scored from the
-    cached hidden features: cases i, iii and iv by the fit's own readout,
-    case ii by that readout clipped to the clip range, which is what the
-    clipped register network computes on the box.  Only the chosen entry is
-    rewritten, by ``_written``.
+    The target is evaluated once, each seed grows one ``FeatureCache``, and a
+    width's seeds run at once on one pool, which lives as long as the
+    generator.  Width 0 is the zero network; any other fit is scored by its
+    readout on the cached features, clipped to ``clip`` = (c, C) if given.
     """
-    mu = cache.mu
-    if width == 0:
-        return zero_network(f.dim, f.out_dim), np.zeros((mu.support_size, f.out_dim))
-    g = fit_random_features(f, mu, width, cfg["activation"], cache.seed, cfg["ridge"], cache)
-    scored = cache.predict(g)
-    if case == "ii":
-        scored = np.clip(scored, *_clip_range(cfg, f))
-    return g, scored
+    values = f.evaluate(mu.points)
+    caches = [FeatureCache(mu, values, activation, seed, ridge, max(widths)) for seed in seeds]
+
+    def run_one(width: int, cache: FeatureCache):
+        if width == 0:
+            g, scored = zero_network(f.dim, f.out_dim), np.zeros_like(values)
+        else:
+            g = fit_random_features(f, mu, width, activation, cache.seed, ridge, cache)
+            scored = cache.predict(g) if clip is None else np.clip(cache.predict(g), *clip)
+        resid = FunctionTable(values - scored)
+        return g, scored, resid, gauge_norm(phi, mu, resid).value
+
+    with ThreadPoolExecutor() as pool:
+        for width in widths:
+            # results are handed over as the caller takes them, never held as a list
+            yield width, pool.map(run_one, [width] * len(caches), caches)
+
+
+@dataclass(frozen=True)
+class CurveRow:
+    width: int
+    seed: int
+    gauge_error: float
+    l1_error: float
+
+
+def approximation_curve(f: TargetFunction, mu: DiscreteMeasure, phi: YoungFunction,
+                        widths, activation: str = "relu", seeds=_DEFAULT_SEEDS,
+                        ridge: float = _DEFAULT_RIDGE) -> list:
+    """One row per (width, seed): gauge and L1 errors of the fitted residual.
+
+    Widths and seeds are nonempty lists of counts, a bad one refused by a
+    ValidationError naming ``widths`` or ``seed``; width 0 is the zero network.
+    """
+    widths, seeds = _parsed("widths", _counts, widths), _parsed("seed", _counts, seeds)
+    return [CurveRow(width, seed, gauge, l1_norm(mu, resid))
+            for width, batch in _schedule(f, mu, phi, widths, seeds, activation, ridge)
+            for seed, (_, _, resid, gauge) in zip(seeds, batch)]
+
+
+def curve_csv_rows(rows) -> tuple:
+    """CSV form of a curve; the wall-clock column fit_millis is pinned to 0 to reproduce bytes."""
+    header = ("width", "seed", "gauge_error", "l1_error", "fit_millis")
+    body = [(r.width, r.seed, r.gauge_error, r.l1_error, 0) for r in rows]
+    return header, body
 
 
 def _written(case: str, cfg: dict, f: TargetFunction, box: Box, g: Network) -> Network:
@@ -334,7 +370,7 @@ def _written(case: str, cfg: dict, f: TargetFunction, box: Box, g: Network) -> N
     clips it; that equals clip(g, c, C) on the box, which holds every
     support point.  Case iv folds the readout bias into a hidden unit.
     Cases i and iii, and the zero network, are written as fitted.  The
-    verification checks cases ii and iv against their scored values.
+    verification checks every written network against its scored values.
     """
     if len(g.layers) == 1 or case in ("i", "iii"):
         return g
@@ -362,45 +398,32 @@ def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
         raise ValidationError("target and family dimensions disagree")
     phi_M, psi_M, cert = associated_young_pair(family, cfg.get("psi_candidates"))
     _check_hypotheses(case, cfg, family, f, box)
-    mu_dom = family.dominating
-    values = f.evaluate(mu_dom.points)
-    capacity = max(cfg["widths"])
-    caches = [FeatureCache(mu_dom, values, cfg["activation"], seed, cfg["ridge"], capacity)
-              for seed in cfg["seeds"]]
-
-    def run_one(width: int, cache: FeatureCache):
-        # the scored values on the dominating support give every member's
-        # error: ||f - eta||_{L1(nu)} = sum ||f - eta|| * (dnu/dmu) * mu
-        g, scored = _trial(case, cfg, f, cache, width)
-        resid = FunctionTable(values - scored)
-        sup = float(np.max(family.integrals(_point_norms(resid, "euclidean"))))
-        gauge = gauge_norm(phi_M, mu_dom, resid).value
-        # only cases ii and iv check the written network against its scores
-        return g, scored if case in ("ii", "iv") else None, sup, gauge
-
     epsilon = cfg["epsilon"]
-    rows = []
-    chosen = None
-    best = None
-    with ThreadPoolExecutor() as pool:
-        for width in cfg["widths"]:
-            batch = pool.map(run_one, [width] * len(caches), caches)
-            for seed, (g, scored, sup, gauge) in zip(cfg["seeds"], batch):
-                rows.append((width, seed, sup, gauge))
-                if best is None or sup < best[0]:
-                    best = (sup, width, seed, g, scored)
-                if chosen is None and sup < epsilon:
-                    chosen = (sup, width, seed, g, scored)
-            if chosen is not None:
-                break
-    del caches  # release the hidden features before the verification runs
+    rows, chosen, best = [], None, None
+    schedule = _schedule(f, family.dominating, phi_M, cfg["widths"], cfg["seeds"],
+                         cfg["activation"], cfg["ridge"],
+                         _clip_range(cfg, f) if case == "ii" else None)
+    for width, batch in schedule:
+        for seed, (g, scored, resid, gauge) in zip(cfg["seeds"], batch):
+            # the scored values on the dominating support give every member's
+            # error: ||f - eta||_{L1(nu)} = sum ||f - eta|| * (dnu/dmu) * mu
+            sup = float(np.max(family.integrals(_point_norms(resid, "euclidean"))))
+            rows.append((width, seed, sup, gauge))
+            if best is None or sup < best[0]:
+                best = (sup, width, seed, g, scored)
+            if chosen is None and sup < epsilon:
+                chosen = (sup, width, seed, g, scored)
+        del scored, resid  # not kept through the next width's fits
+        if chosen is not None:
+            break
+    schedule.close()  # the pool and the hidden features go before the verification runs
     success = chosen is not None
     sup, width, seed, g, scored = chosen if success else best
     eta = _written(case, cfg, f, box, g)
     departure = f"the written case-{case} network departs from its scored values"
     report = verify_robust_bound(
         family, phi_M, psi_M, f, eta, epsilon=epsilon, certificate=cert,
-        check=None if scored is None else lambda got: _check_agreement(got, scored, departure))
+        check=lambda got: _check_agreement(got, scored, departure))
     out.mkdir(parents=True, exist_ok=True)
     paths = {"report": out / "report.json", "curve": out / "curve.csv",
              "network": out / "network.json"}

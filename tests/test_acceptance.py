@@ -21,7 +21,7 @@ from orlicz_uat import (AffineFamily, Box, FunctionTable, LinearOnlyFamily,
                         run_robust_experiment, sin_product, to_register_form,
                         verify_robust_bound, zero_network)
 from orlicz_uat.cli import dispatch
-from orlicz_uat.fit import approximation_curve
+from orlicz_uat.robust import approximation_curve
 from orlicz_uat.net import Layer, Network
 from orlicz_uat.serialize import csv_text, write_bytes
 

@@ -494,6 +494,27 @@ def test_fit_refuses_an_empty_list(flag):
     assert code == 2 and err.count("\n") == 1, err
 
 
+def test_fit_width_zero_writes_the_zero_networks_row():
+    code, out, err = _cli_output(["fit", "--target", "sin_product", "--measure", "{dir}/mu.json",
+                                  "--phi", "power:2", "--widths", "0,4", "--seeds", "0"],
+                                 [("mu.json", _FIT_MEASURE)])
+    assert (code, err) == (0, "")
+    header, zero, four = [line.split(",") for line in out.strip().split("\n")]
+    assert header[:2] == ["width", "seed"] and zero[:2] == ["0", "0"] and four[:2] == ["4", "0"]
+    # sin(2 pi x) at 0, 1/4, 1/2 and 1 is 0, 1, 0 and 0, each of weight 1/4
+    assert float(zero[2]) == pytest.approx(0.5, rel=1e-9)
+    assert float(zero[3]) == pytest.approx(0.25, rel=1e-12)
+
+
+@pytest.mark.parametrize("flag, named", [("--widths=-1", "widths"), ("--widths=4,-1", "widths"),
+                                         ("--seeds=0,-2", "seed")])
+def test_fit_names_a_negative_width_or_seed(flag, named):
+    code, err = _cli(["fit", "--target", "sin_product", "--measure", "{dir}/mu.json",
+                      "--phi", "power:2", flag], [("mu.json", _FIT_MEASURE)])
+    assert code == 2
+    assert err.startswith(f"error: bad value for {named}: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("argv, named", [
     (["norm", "--phi", "power:x", "--measure", "{dir}/mu.json", "--f", "{dir}/f.json"], "p"),
     (["conjugate", "--phi", "power:2", "--grid", "a:b:c"], "grid"),

@@ -1,18 +1,20 @@
 """Random-feature least squares and error curves."""
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orlicz_uat import (Box, FitSolverError, ValidationError, curve_csv_rows,
-                        fit_random_features, from_table, gauge_norm,
-                        make_discrete, make_target, power, residual_table,
+from orlicz_uat import (Box, FitSolverError, FunctionTable, ValidationError, curve_csv_rows,
+                        fit_random_features, from_table, gauge_norm, l1_norm,
+                        make_discrete, make_target, power, residual_table, robust,
                         sample_empirical)
-from orlicz_uat.fit import (FeatureCache, approximation_curve, constant,
-                            draw_features, gaussian_blob, sin_product,
-                            smooth_step)
+from orlicz_uat.fit import (FeatureCache, constant, draw_features, gaussian_blob,
+                            sin_product, smooth_step)
+from orlicz_uat.robust import approximation_curve
 from orlicz_uat.net import _ROW_BLOCK, _apply_activation
-from orlicz_uat.serialize import json_text
+from orlicz_uat.serialize import csv_text, json_text
 
 
 def l2_residual(f, eta, mu):
@@ -313,3 +315,69 @@ def test_curve_csv_rows_shape():
     assert header == ("width", "seed", "gauge_error", "l1_error", "fit_millis")
     assert len(body) == 2
     assert all(r[4] == 0 for r in body)
+
+
+def test_curve_rows_equal_a_serial_reference_loop():
+    # 4,500 points, so each fit sums over two column blocks
+    mu = uniform_support(4500, seed=29)
+    f, phi, widths, seeds = sin_product(), power(1.5), (4, 8, 16), (0, 1, 2)
+    values = f.evaluate(mu.points)
+    caches = [FeatureCache(mu, values, "sigmoid", seed, 1e-10, max(widths)) for seed in seeds]
+    want = []
+    for width in widths:
+        for cache in caches:
+            resid = FunctionTable(values - cache.predict(cache.fit(width)))
+            want.append((width, cache.seed, gauge_norm(phi, mu, resid).value, l1_norm(mu, resid)))
+    rows = approximation_curve(f, mu, phi, widths, "sigmoid", seeds)
+    assert [(r.width, r.seed, r.gauge_error, r.l1_error) for r in rows] == want
+
+
+def test_a_curves_seeds_run_on_more_than_one_thread(monkeypatch):
+    fit, threads = robust.fit_random_features, set()
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        return fit(*args)
+
+    monkeypatch.setattr(robust, "fit_random_features", recording)
+    rows = approximation_curve(sin_product(), uniform_support(), power(2.0), (8, 16))
+    assert len(rows) == 6
+    assert len(threads) > 1 and threading.get_ident() not in threads
+
+
+def test_curve_csv_does_not_depend_on_the_thread_count(monkeypatch):
+    mu = uniform_support(4500, seed=31)
+
+    def curve_csv():
+        rows = approximation_curve(sin_product(), mu, power(2.0), (4, 8, 16), "tanh")
+        return csv_text(*curve_csv_rows(rows))
+
+    default = curve_csv()
+
+    class OneWorker(robust.ThreadPoolExecutor):
+        def __init__(self):
+            super().__init__(max_workers=1)
+
+    monkeypatch.setattr(robust, "ThreadPoolExecutor", OneWorker)
+    assert curve_csv() == default
+
+
+def test_curve_width_zero_is_the_zero_network():
+    mu = uniform_support(64, seed=37)
+    f, phi = sin_product(), power(2.0)
+    rows = approximation_curve(f, mu, phi, [0, 4], seeds=(0, 1))
+    values = FunctionTable(f.evaluate(mu.points))
+    assert [(r.width, r.seed) for r in rows] == [(0, 0), (0, 1), (4, 0), (4, 1)]
+    for r in rows[:2]:
+        assert (r.gauge_error, r.l1_error) == (gauge_norm(phi, mu, values).value,
+                                               l1_norm(mu, values))
+
+
+@pytest.mark.parametrize("widths, seeds, named", [
+    ([], (0,), "widths"), ([4], (), "seed"), ([-1], (0,), "widths"), ([4], (-1,), "seed"),
+    (["4"], (0,), "widths"), ([4.0], (0,), "widths"), ([4], "x", "seed"),
+])
+def test_curve_refuses_bad_widths_and_seeds(widths, seeds, named):
+    mu = uniform_support(16)
+    with pytest.raises(ValidationError, match=f"^bad value for {named}: "):
+        approximation_curve(sin_product(), mu, power(2.0), widths, seeds=seeds)

@@ -424,7 +424,7 @@ def test_case_iv_artifact_folds_the_readout_bias():
         assert np.any(fitted.layers[1].b != 0.0)
         cache = FeatureCache(mu, f.evaluate(mu.points), act, 3, 1e-10, 6)
         cfg = {"activation": act, "ridge": 1e-10}
-        art = robust._written("iv", cfg, f, None, robust._trial("iv", cfg, f, cache, 6)[0])
+        art = robust._written("iv", cfg, f, None, cache.fit(6))
         hid, out = art.layers
         assert out.b.tolist() == [0.0]
         assert hid.out_dim == 7

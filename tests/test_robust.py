@@ -286,7 +286,7 @@ def test_artifacts_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, over
     # 4,500 dominating points, so each fit sums over two column blocks
     family = {"kind": "mixtures", "count": 3, "points": 1500, "seed": 7,
               "box": {"lo": [0.0], "hi": [1.0]}}
-    default_pool, trial = robust.ThreadPoolExecutor, robust._trial
+    default_pool, fit = robust.ThreadPoolExecutor, robust.fit_random_features
     sizes, threads = [], {"one": set(), "default": set()}
 
     class OneWorker(default_pool):
@@ -297,10 +297,10 @@ def test_artifacts_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, over
     for tag, pool in (("one", OneWorker), ("default", default_pool)):
         def recording(*args, tag=tag):
             threads[tag].add(threading.get_ident())
-            return trial(*args)
+            return fit(*args)
 
         monkeypatch.setattr(robust, "ThreadPoolExecutor", pool)
-        monkeypatch.setattr(robust, "_trial", recording)
+        monkeypatch.setattr(robust, "fit_random_features", recording)
         result = run_robust_experiment(base_config(tmp_path / tag, epsilon=1e-9,
                                                    widths=[4, 8, 16], seeds=3,
                                                    family=family, **overrides))
@@ -470,18 +470,21 @@ def test_curve_rows_match_direct_member_errors(tmp_path, monkeypatch, overrides)
     # curve.csv takes each member error from the densities; every candidate,
     # not only the verified one, must agree with the direct per-member sum
     # of the network that would be written for it
-    candidates = {}
-    trial = robust._trial
+    fit = robust.fit_random_features
     cfg = base_config(tmp_path, epsilon=1e-9, **overrides)
+    checked = robust._validate_config(cfg)
     family, box = build_family(cfg["family"])
+    f = make_target(cfg["target"])
+    # width 0 is the zero network, which no fit makes
+    candidates = {(0, seed): (f, zero_network(1, 1))
+                  for seed in checked["seeds"] if 0 in checked["widths"]}
 
-    def recording(case, cfg, f, cache, width):
-        g, scored = trial(case, cfg, f, cache, width)
-        eta = robust._written(case, cfg, f, box, g)
-        candidates[(width, cache.seed)] = (f, eta)
-        return g, scored
+    def recording(f, mu, width, activation, seed, ridge, cache):
+        g = fit(f, mu, width, activation, seed, ridge, cache)
+        candidates[(width, seed)] = (f, robust._written(checked["case"], checked, f, box, g))
+        return g
 
-    monkeypatch.setattr(robust, "_trial", recording)
+    monkeypatch.setattr(robust, "fit_random_features", recording)
     result = run_robust_experiment(cfg)
     with open(result.paths["curve"], newline="") as handle:
         rows = list(csv.DictReader(handle))
@@ -522,6 +525,10 @@ def _bumped(network: Network) -> Network:
 @pytest.mark.parametrize("case, name, bump", [
     ("ii", "clip_and_localize", lambda reg: dataclasses.replace(reg, network=_bumped(reg.network))),
     ("iv", "_bias_as_hidden_unit", _bumped),
+    # cases i and iii write the fit itself, which agrees with its scores bit
+    # for bit, so a network written off them is refused as in cases ii and iv
+    ("i", "_written", _bumped),
+    ("iii", "_written", _bumped),
 ])
 def test_a_written_network_off_its_scores_is_refused(tmp_path, monkeypatch, capsys,
                                                       case, name, bump):
