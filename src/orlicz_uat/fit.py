@@ -2,15 +2,17 @@
 
 The fitter draws hidden features deterministically from a seed, one child
 seed stream per feature, so the features for width w are a prefix of the
-features for any larger width.  Readouts solve a ridge-regularized weighted
-least-squares problem on the support of the measure.  Nothing here optimizes
-a gauge norm directly; gauge errors are evaluated after the fact.
+features for any larger width; numpy's seeding hash runs on arrays over all
+the features at once.  Readouts solve a ridge-regularized weighted least-squares
+problem on the support of the measure.  Nothing here optimizes a gauge norm
+directly; gauge errors are evaluated after the fact.
 
 There is one fit path, ``FeatureCache``: one seed's design matrix on the
 support, feature-major with the intercept's row first, and the weighted Gram
 matrix of the features drawn so far.  The width/seed schedule of the ``fit``
-curve and the robust run, ``robust._schedule``, grows one cache per seed, so
-widening draws and activates only the new features and adds only the Gram
+curve and the robust run, ``robust._schedule``, makes one cache per seed,
+which draws all the features of the widest width in the caller's thread;
+widening then activates only the new features and adds only the Gram
 border, summed over fixed blocks of support points in block order; a lone
 ``fit_random_features`` call grows a fresh cache once.  Every width's readout
 comes from a Cholesky factorization of its own system, intercept last.
@@ -133,24 +135,68 @@ def make_target(spec: dict) -> TargetFunction:
         raise ValidationError(f"bad parameters for target {name!r}: {exc}") from None
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the PCG64 multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32, _MASK128 = 0xCA01F9DD, 0x4973F715, 2**32 - 1, 2**128 - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _child_states(seed: int, keys: np.ndarray):
+    """(state, inc) of ``PCG64(SeedSequence(seed, spawn_key=(k,)))`` for each k of keys.
+
+    SeedSequence's own hash: the seed's 32-bit words, zero-padded to the pool of
+    4 as a spawn key asks, fill the pool on Python ints; its words past the pool
+    and each key's word are mixed in on uint32 arrays, which wrap as numpy's C does.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value, hash_const = value ^ hash_const, hash_const * mult & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
+        return r ^ r >> 16
+
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 128), 32)]
+    pool = [hashmix(w) for w in words[:4]]
+    for src, dst in ((src, dst) for src in range(4) for dst in range(4) if src != dst):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in [*words[4:], keys.astype(np.uint32)]:
+        pool = [mix(p, hashmix(word)) for p in pool]
+    hash_const = _INIT_B
+    out = np.array([hashmix(pool[i % 4], _MULT_B) for i in range(8)], dtype=np.uint64)
+    for s0, s1, i0, i1 in zip(*(out[0::2] | out[1::2] << np.uint64(32)).tolist()):
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        yield (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128, inc
+
+
 def draw_features(dim: int, width: int, seed: int, lo, hi, start: int = 0):
     """Standard normal weights; each kink anchored uniformly inside [lo, hi].
 
     Feature k is drawn from child k of the seed, ``SeedSequence(seed).spawn(n)[k]``
     for any n > k, so widening the draw extends it without disturbing earlier
-    features.  Returns features start..width-1.
+    features.  Returns features start..width-1.  One generator draws each child
+    from its state, which ``_child_states`` hashes as numpy does; the oracle test
+    in ``tests/test_fit.py`` spawns numpy's own.  Keys past 32 bits are refused.
     """
-    side = hi - lo
-    if not np.all(np.isfinite(side)):
-        raise ValidationError("the support's bounding box has a side past the double range")
-    W = np.empty((width - start, dim))
-    b = np.empty(width - start)
-    for row, k in enumerate(range(start, width)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-        W[row] = rng.standard_normal(dim)
-        anchor = lo + side * rng.random(dim)  # Generator.uniform's own formula
-        b[row] = -float(W[row] @ anchor)
-    return W, b
+    if width > 2**32:
+        raise ValidationError(f"width {width} is past the 2**32 features a seed spawns")
+    # an overflowing side is refused here, a non-finite bias by the fit
+    with np.errstate(over="ignore", invalid="ignore"):
+        side = hi - lo
+        if not np.all(np.isfinite(side)):
+            raise ValidationError("the support's bounding box has a side past the double range")
+        W, U = np.empty((width - start, dim)), np.empty((width - start, dim))
+        rng = np.random.default_rng(0)
+        for row, (state, inc) in enumerate(_child_states(_count(seed), np.arange(start, width))):
+            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                       "state": {"state": state, "inc": inc}}
+            rng.standard_normal(out=W[row])
+            rng.random(out=U[row])
+        return W, -np.vecdot(W, lo + side * U)  # the anchor is Generator.uniform's own formula
 
 
 class FeatureCache:
@@ -164,7 +210,8 @@ class FeatureCache:
     network does.  The weighted Gram matrix and right-hand sides of the rows
     filled so far are kept in the same order, each a sum of partials over
     fixed ``_ROW_BLOCK``-column blocks added in block order.  ``values`` are
-    the target's values on the support, evaluated once by the caller.
+    the target's values on the support, evaluated once by the caller.  All
+    ``capacity`` features are drawn on construction: a fit runs numpy calls alone.
     """
 
     def __init__(self, mu: DiscreteMeasure, values: np.ndarray, activation: str,
@@ -178,17 +225,20 @@ class FeatureCache:
         self._points = np.pad(mu.points, pad)
         self._weights = np.pad(mu.weights, pad[0])
         self._weighted_values = np.pad(values * mu.weights[:, None], pad)
-        self._W = np.empty((capacity, mu.dimension))
-        self._b = np.empty(capacity)
-        self._design = np.empty((capacity + 1, self._points.shape[0]))
+        try:
+            self._design = np.empty((capacity + 1, self._points.shape[0]))
+            self._gram = np.empty((capacity + 1, capacity + 1))
+        except MemoryError:
+            raise ValidationError(f"width {capacity} needs a {capacity + 1} x {len(self._points)} "
+                                  "design matrix, past the memory") from None
         self._design[0] = 1.0
-        self._gram = np.empty((capacity + 1, capacity + 1))
         self._rhs = np.empty((capacity + 1, values.shape[1]))
+        # every feature is drawn here, so growing the cache is numpy work alone
+        self._W, self._b = draw_features(mu.dimension, capacity, seed, *self._box)
 
     def _grow(self, width: int):
         w0, X, wts, D = self._width, self._points, self._weights, self._design
-        W, b = draw_features(self.mu.dimension, width, self.seed, *self._box, start=w0)
-        self._W[w0:width], self._b[w0:width] = W, b
+        W, b = self._W[w0:width], self._b[w0:width]
         # the first step adds the intercept row too, so its border is the whole system
         new = slice(w0 + 1 if w0 else 0, width + 1)
         border = np.zeros((width + 1, new.stop - new.start))

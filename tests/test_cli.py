@@ -487,6 +487,22 @@ def test_a_support_side_past_the_double_range_exits_2(argv):
         2, "error: the support's bounding box has a side past the double range\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["robust", "--config", "{dir}/cfg.json", "--out-dir", "{dir}/run"],
+    ["fit", "--target", "sin_product", "--measure", "{dir}/mu.json", "--phi", "power:2",
+     "--widths", "8,1000000000000"],
+])
+def test_a_width_past_the_memory_exits_2(argv):
+    # 10**12 features need a design matrix of about 5e14 bytes, which no
+    # allocation grants
+    cfg = {"case": "i", "family": {"kind": "members", "members": [_FIT_MEASURE]},
+           "target": {"name": "sin_product", "dim": 1}, "epsilon": 0.5,
+           "widths": [8, 10**12], "seeds": 1}
+    code, err = _cli(argv, [("cfg.json", cfg), ("mu.json", _FIT_MEASURE)])
+    assert code == 2 and err.startswith("error: width 1000000000000 ") and \
+        err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("flag", ["--widths=", "--seeds="])
 def test_fit_refuses_an_empty_list(flag):
     code, err = _cli(["fit", "--target", "sin_product", "--measure", "{dir}/mu.json",

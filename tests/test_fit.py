@@ -113,10 +113,12 @@ def test_feature_draw_prefix_property():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**63 - 1), st.integers(1, 3), st.integers(1, 40), st.data())
+@given(st.one_of(st.integers(0, 2**32), st.integers(0, 2**256 - 1)), st.integers(1, 3),
+       st.integers(1, 40), st.data())
 def test_feature_draw_is_the_spawned_child_stream(seed, dim, width, data):
     # oracle: spawn all width children, then draw feature k from child k,
-    # its anchor by Generator.uniform on any box whose sides are doubles
+    # its anchor by Generator.uniform on any box whose sides are doubles;
+    # seeds of 5 to 8 words mix their words past the pool of 4 with the key
     start = data.draw(st.integers(0, width - 1))
     ends = st.lists(st.floats(-1e307, 1e307), min_size=dim, max_size=dim)
     lo, hi = np.sort([data.draw(ends), data.draw(ends)], axis=0)
@@ -129,6 +131,25 @@ def test_feature_draw_is_the_spawned_child_stream(seed, dim, width, data):
         b_want[row] = -float(W_want[row] @ rng.uniform(lo + 0.0, hi + 0.0))
     W, b = draw_features(dim, width, seed, lo, hi, start=start)
     assert np.array_equal(W, W_want) and np.array_equal(b, b_want)
+
+
+@pytest.mark.parametrize("words", range(1, 9))
+def test_feature_draw_of_a_seed_of_each_word_count(words):
+    # the last feature a seed spawns, key 2**32 - 1, and the first, from seeds
+    # of 1 to 8 words: every seed word past the pool of 4 is mixed in before
+    # the key word
+    seed, lo, hi = 2**(32 * words) - 3, np.array([-1.0, 0.0]), np.array([1.0, 4.0])
+    for start in (0, 2**32 - 1):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(start,)))
+        w = rng.standard_normal(2)
+        W, b = draw_features(2, start + 1, seed, lo, hi, start=start)
+        assert np.array_equal(W, [w]) and b.tolist() == [-float(w @ rng.uniform(lo, hi))]
+
+
+def test_feature_draw_refuses_a_key_past_one_word():
+    lo, hi = np.zeros(1), np.ones(1)
+    with pytest.raises(ValidationError, match="width 4294967297 "):
+        draw_features(1, 2**32 + 1, 0, lo, hi, start=2**32)
 
 
 def test_fit_determinism_bitwise():

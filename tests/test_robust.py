@@ -18,6 +18,7 @@ from orlicz_uat import (Box, DiscreteMeasure, HypothesisViolation, Layer, Measur
                         report_json_dict, robust, robust_error,
                         run_robust_experiment, serialize, verify_robust_bound,
                         zero_network)
+from orlicz_uat import fit as fit_module
 from orlicz_uat.cli import dispatch
 
 
@@ -429,6 +430,20 @@ def test_feature_caches_are_released_before_verification(tmp_path, monkeypatch):
     monkeypatch.setattr(robust, "verify_robust_bound", checked)
     run_robust_experiment(base_config(tmp_path, epsilon=1e-9))
     assert len(caches) == 2
+
+
+def test_features_are_drawn_once_per_seed_on_the_calling_thread(tmp_path, monkeypatch):
+    draw, calls = fit_module.draw_features, []
+
+    def recorded(*args, **kwargs):
+        calls.append((args[1], args[2], kwargs, threading.current_thread()))
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(fit_module, "draw_features", recorded)
+    # the widest width comes second: each seed draws it once, before any fit
+    run_robust_experiment(base_config(tmp_path, epsilon=1e-9, widths=[2, 8, 4], seeds=3))
+    assert [call[:3] for call in calls] == [(8, 0, {}), (8, 1, {}), (8, 2, {})]
+    assert all(call[3] is threading.current_thread() for call in calls)
 
 
 @pytest.mark.parametrize("overrides", [

@@ -11,8 +11,10 @@ differ:
     python3 tools/artifact_digests.py > after.txt    # in the other
     diff before.txt after.txt
 
-Run it from the root of a source checkout: the program is imported from
-``src/``, and nothing is left behind.
+The program is imported from the ``src/`` next to the script, whatever the
+working directory, and that ``src/`` is written to stderr, so a run through
+another checkout's copy of the script shows which tree it measured.  Nothing
+is left behind.
 """
 import os
 
@@ -27,12 +29,15 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import orlicz_uat  # noqa: E402
 import workloads  # noqa: E402
 from gate import ARTIFACTS  # noqa: E402
 from orlicz_uat.robust import run_robust_experiment  # noqa: E402
 
 
 def main() -> int:
+    print(f"program imported from {Path(orlicz_uat.__file__).parent.parent}",
+          file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         for name in workloads.NAMES:
             for fseed in workloads.family_seeds(name):
