@@ -41,7 +41,9 @@ def _frozen(arr: np.ndarray, given) -> np.ndarray:
 
 
 def _count(value) -> int:
-    """A nonnegative integer; floats, strings and negative numbers are refused."""
+    """A nonnegative integer; bools, floats, strings and negative numbers are refused."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not a count")
     n = operator.index(value)
     if n < 0:
         raise ValueError("negative count")

@@ -182,8 +182,12 @@ def draw_features(dim: int, width: int, seed: int, lo, hi, start: int = 0):
     from its state, which ``_child_states`` hashes as numpy does; the oracle test
     in ``tests/test_fit.py`` spawns numpy's own.  Keys past 32 bits are refused.
     """
+    dim, width, seed, start = (_parsed(key, _count, value) for key, value in
+                               (("dim", dim), ("width", width), ("seed", seed), ("start", start)))
     if width > 2**32:
         raise ValidationError(f"width {width} is past the 2**32 features a seed spawns")
+    if start > width:
+        raise ValidationError(f"bad value for start: {start} is past the width {width}")
     # an overflowing side is refused here, a non-finite bias by the fit
     with np.errstate(over="ignore", invalid="ignore"):
         side = hi - lo
@@ -191,7 +195,7 @@ def draw_features(dim: int, width: int, seed: int, lo, hi, start: int = 0):
             raise ValidationError("the support's bounding box has a side past the double range")
         W, U = np.empty((width - start, dim)), np.empty((width - start, dim))
         rng = np.random.default_rng(0)
-        for row, (state, inc) in enumerate(_child_states(_count(seed), np.arange(start, width))):
+        for row, (state, inc) in enumerate(_child_states(seed, np.arange(start, width))):
             rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                        "state": {"state": state, "inc": inc}}
             rng.standard_normal(out=W[row])
@@ -309,6 +313,7 @@ def fit_random_features(f: TargetFunction, mu: DiscreteMeasure, width: int,
     seed, ridge and the values of f) to grow in place; without one a fresh
     cache of capacity ``width`` is made.
     """
+    width = _parsed("width", _count, width)
     if width < 1:
         raise ValidationError("width must be at least 1")
     if activation not in _FIT_ACTS:

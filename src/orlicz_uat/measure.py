@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .box import Box
-from .errors import AbsoluteContinuityError, ValidationError, _frozen, _known, _parsed
+from .errors import AbsoluteContinuityError, ValidationError, _count, _frozen, _known, _parsed
 from .young import YoungFunction, entropy, is_structural_n_function, power
 
 
@@ -151,8 +151,9 @@ def sample_empirical(density_spec, n: int, seed: int, clip_box: Box) -> Discrete
     {weight, mean, std} dicts.  A mean or std is a scalar or one value per
     coordinate, and a std is nonnegative: zero draws the mean.
     """
-    if n < 1:
+    if _parsed("n", _count, n) < 1:
         raise ValidationError("sample size must be positive")
+    seed = _parsed("seed", _count, seed)
     spec = ({"name": density_spec} if isinstance(density_spec, str)
             else _parsed("sampler", dict, density_spec))
     name = spec.pop("name", None)
@@ -281,7 +282,10 @@ class MeasureFamily:
 class DlvpCertificate:
     psi: YoungFunction
     per_member_norms: np.ndarray = field(repr=False)
-    sup_norm: float = 0.0
+
+    @property
+    def sup_norm(self) -> float:
+        return float(np.max(self.per_member_norms))
 
 
 def default_psi_candidates() -> list[YoungFunction]:
@@ -294,7 +298,7 @@ def dlvp_certificate(family: MeasureFamily, psi_candidates=None) -> DlvpCertific
     A gauge norm on a finite support is finite, so the first candidate always
     certifies (a norm past the double range raises BracketingError).  The norms
     are resolved to the pipeline's gauge tolerance in one solve, each on its
-    member's rows, so ``verify_robust_bound`` may take them from the certificate.
+    member's rows, and ``verify_robust_bound`` reads them from the certificate.
 
     Every candidate must be an N-function; cataloged kinds are checked
     structurally and power with p = 1 is refused.
@@ -307,5 +311,4 @@ def dlvp_certificate(family: MeasureFamily, psi_candidates=None) -> DlvpCertific
     for psi in candidates:
         if is_structural_n_function(psi) is False:
             raise ValidationError(f"candidate {psi.kind} with p={psi.p} is not an N-function")
-    norms = family.density_norms(candidates[0], _GAUGE_TOL)
-    return DlvpCertificate(candidates[0], norms, float(np.max(norms)))
+    return DlvpCertificate(candidates[0], family.density_norms(candidates[0], _GAUGE_TOL))

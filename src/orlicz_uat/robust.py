@@ -1,9 +1,10 @@
 """Worst-case approximation over a finite family of measures.
 
-The pipeline: pick a Young pair (phi_M, psi_M) so that every member density
-has a finite psi_M gauge norm against the dominating measure, fit candidate
-networks on a width/seed schedule, measure the supremum of per-member L1
-errors, and certify the chain
+The pipeline: a de la Vallee Poussin certificate picks psi_M and holds every
+member density's finite psi_M gauge norm against the dominating measure;
+phi_M is complementary to psi_M.  Then it fits candidate networks on a
+width/seed schedule, measures the supremum of per-member L1 errors, and
+certifies the chain
 
     sup_nu ||f - eta||_{L1(nu)} <= 2 N_{phi_M}(f - eta) sup_nu N_{psi_M}(dnu/dmu_M)
 
@@ -20,7 +21,7 @@ the box holding every support point; in case iv its readout bias is folded
 into a hidden unit.  The verification evaluates the written network twice,
 at once on two threads: on the dominating support, where it must also agree
 with its scores, so the curve describes the written network, and on the
-member points.  It takes the member density norms from the certificate.
+member points.  psi_M and the member density norms are read from the certificate.
 
 One thread pool serves the whole schedule, with the standard library's
 default number of workers, ``min(32, os.cpu_count() + 4)``, so every seed of a
@@ -47,8 +48,7 @@ from .measure import (DiscreteMeasure, DlvpCertificate, MeasureFamily,
                       dlvp_certificate, sample_empirical)
 from .net import (Layer, Network, _check_agreement, clip_and_localize,
                   to_register_form, zero_network)
-from .orlicz import (_GAUGE_TOL, _HOLDER_SLACK, FunctionTable, _point_norms, gauge_norm,
-                     l1_norm)
+from .orlicz import _HOLDER_SLACK, FunctionTable, _point_norms, gauge_norm, l1_norm
 from .young import YoungFunction, complementary
 
 _CASES = ("i", "ii", "iii", "iv")
@@ -65,13 +65,12 @@ class RobustReport:
     density_norm_sup: float
     holder_rhs: float
     bound_holds: bool
-    epsilon: float
 
 
 def associated_young_pair(family: MeasureFamily, psi_candidates=None):
-    """(phi_M, psi_M, certificate) with phi_M complementary to the chosen psi_M."""
+    """(phi_M, certificate): the certificate's psi_M and phi_M complementary to it."""
     cert = dlvp_certificate(family, psi_candidates)
-    return complementary(cert.psi), cert.psi, cert
+    return complementary(cert.psi), cert
 
 
 def robust_error(family: MeasureFamily, f: TargetFunction, eta):
@@ -83,37 +82,22 @@ def robust_error(family: MeasureFamily, f: TargetFunction, eta):
     return per, float(np.max(per))
 
 
-def _certified_density_norms(family: MeasureFamily, psi_M: YoungFunction,
-                             certificate: DlvpCertificate, gauge_tol: float) -> np.ndarray:
-    """The certificate's per-member psi_M norms, refused unless they are the ones wanted."""
-    if certificate.psi is not psi_M:
-        raise ValidationError("the certificate was made for another psi")
-    if len(certificate.per_member_norms) != family.size:
-        raise ValidationError("the certificate has a norm count other than the member count")
-    if gauge_tol != _GAUGE_TOL:
-        raise ValidationError(
-            f"the certificate's norms were resolved to {_GAUGE_TOL}, not to {gauge_tol}")
-    return certificate.per_member_norms
-
-
 def verify_robust_bound(family: MeasureFamily, phi_M: YoungFunction,
-                        psi_M: YoungFunction, f: TargetFunction, eta,
-                        epsilon: float = math.nan,
-                        gauge_tol: float = _GAUGE_TOL,
-                        certificate: DlvpCertificate | None = None,
+                        certificate: DlvpCertificate, f: TargetFunction, eta,
                         check=None) -> RobustReport:
     """Populate a report and hard-assert the generalized Holder chain.
 
-    Also checks, per member, that the direct L1 error equals the
-    density-weighted integral against the dominating measure.  With the
-    ``certificate`` that chose psi_M, the member density norms are taken
-    from it rather than recomputed.  eta is evaluated once on the dominating
-    support and once, by ``robust_error``, on the member points, the two
-    passes at once on two threads; ``check``, if given, is called with the
-    first pass's values before they are used, and refuses them by raising.
+    psi_M is ``certificate.psi``, and the member density norms and their
+    supremum are the certificate's; the residual's phi_M gauge norm is
+    resolved to the same tolerance as those norms.  Also checks, per member,
+    that the direct L1 error equals the density-weighted integral against
+    the dominating measure.  eta is evaluated once on the dominating support
+    and once, by ``robust_error``, on the member points, the two passes at
+    once on two threads; ``check``, if given, is called with the first
+    pass's values before they are used, and refuses them by raising.
     """
-    density_norms = (family.density_norms(psi_M, gauge_tol) if certificate is None
-                     else _certified_density_norms(family, psi_M, certificate, gauge_tol))
+    if len(certificate.per_member_norms) != family.size:
+        raise ValidationError("the certificate has a norm count other than the member count")
     mu = family.dominating
     with ThreadPoolExecutor(1) as pool:  # numpy releases the GIL in BLAS and ufunc loops
         members = pool.submit(robust_error, family, f, eta)
@@ -121,29 +105,30 @@ def verify_robust_bound(family: MeasureFamily, phi_M: YoungFunction,
         if check is not None:
             check(on_mu)
         resid = FunctionTable(f.evaluate(mu.points) - on_mu)
-        gauge_error = gauge_norm(phi_M, mu, resid, tol=gauge_tol).value
+        gauge_error = gauge_norm(phi_M, mu, resid).value
         per, sup_l1 = members.result()
     via_density = family.integrals(_point_norms(resid, "euclidean"))
     if np.any(np.abs(via_density - per) > _CHANGE_OF_MEASURE_RTOL * np.maximum(per, 1e-300)):
         raise OrliczError("change-of-measure identity failed for a member")
-    density_norm_sup = float(max(density_norms))
+    density_norm_sup = certificate.sup_norm
     holder_rhs = 2.0 * gauge_error * density_norm_sup
     bound_holds = sup_l1 <= holder_rhs * (1.0 + _HOLDER_SLACK)
     if not bound_holds:
         raise OrliczError(
             f"generalized Holder chain violated: sup_l1={sup_l1} > rhs={holder_rhs}")
     return RobustReport(tuple(float(v) for v in per), sup_l1, gauge_error,
-                        density_norm_sup, holder_rhs, bound_holds, epsilon)
+                        density_norm_sup, holder_rhs, bound_holds)
 
 
-def report_json_dict(report: RobustReport, network_file: str, case: str) -> dict:
+def report_json_dict(report: RobustReport, case: str) -> dict:
+    """report.json's object; the network is always written next to it as network.json."""
     return {"sup_l1": report.sup_l1,
             "holder_rhs": report.holder_rhs,
             "gauge_error": report.gauge_error,
             "density_norm_sup": report.density_norm_sup,
             "per_measure_l1": list(report.per_measure_l1),
             "bound_holds": report.bound_holds,
-            "network_file": network_file,
+            "network_file": "network.json",
             "case": case}
 
 
@@ -240,8 +225,9 @@ def _validate_config(config: dict) -> dict:
     if not (cfg["epsilon"] > 0.0):
         raise ValidationError("epsilon must be positive")
     cfg["widths"] = _parsed("widths", _counts, cfg.get("widths", _DEFAULT_WIDTHS))
-    cfg["seeds"] = _parsed("seeds", lambda v: _counts(range(v) if isinstance(v, int) else v),
-                           cfg.get("seeds", _DEFAULT_SEEDS))
+    cfg["seeds"] = _parsed(
+        "seeds", lambda v: _counts(range(_count(v)) if isinstance(v, int) else v),
+        cfg.get("seeds", _DEFAULT_SEEDS))
     cfg.setdefault("activation", _DEFAULT_ACTIVATION[cfg["case"]])
     if cfg["activation"] not in _FIT_ACTS:
         raise ValidationError(f"bad value for activation: {cfg['activation']!r:.80}")
@@ -294,10 +280,11 @@ def _check_hypotheses(case: str, cfg: dict, family: MeasureFamily, f: TargetFunc
         declared = cfg.get("compact_box", box)
         if declared.dim != family.dominating.dimension:
             raise ValidationError("compact_box dimension disagrees with the family")
-        for i, nu in enumerate(family.members):
-            if not np.all(declared.contains(nu.points)):
-                raise HypothesisViolation(
-                    "compact support", f"member {i} has mass outside the declared box")
+        outside = ~declared.contains(family.dominating.points)  # every member point
+        if outside.any():
+            i = next(i for i, j in enumerate(family.rows) if outside[j].any())
+            raise HypothesisViolation(
+                "compact support", f"member {i} has mass outside the declared box")
 
 
 def _clip_range(cfg: dict, f: TargetFunction) -> tuple:
@@ -396,7 +383,7 @@ def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
     f = make_target(cfg["target"])
     if f.dim != family.dominating.dimension:
         raise ValidationError("target and family dimensions disagree")
-    phi_M, psi_M, cert = associated_young_pair(family, cfg.get("psi_candidates"))
+    phi_M, cert = associated_young_pair(family, cfg.get("psi_candidates"))
     _check_hypotheses(case, cfg, family, f, box)
     epsilon = cfg["epsilon"]
     rows, chosen, best = [], None, None
@@ -422,14 +409,14 @@ def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
     eta = _written(case, cfg, f, box, g)
     departure = f"the written case-{case} network departs from its scored values"
     report = verify_robust_bound(
-        family, phi_M, psi_M, f, eta, epsilon=epsilon, certificate=cert,
+        family, phi_M, cert, f, eta,
         check=lambda got: _check_agreement(got, scored, departure))
     out.mkdir(parents=True, exist_ok=True)
     paths = {"report": out / "report.json", "curve": out / "curve.csv",
              "network": out / "network.json"}
     serialize.write_bytes(paths["network"], serialize.json_text(eta.to_json_dict()))
     serialize.write_bytes(paths["report"], serialize.json_text(
-        report_json_dict(report, "network.json", case)))
+        report_json_dict(report, case)))
     serialize.write_bytes(paths["curve"], serialize.csv_text(
         ("width", "seed", "sup_l1", "gauge_error"), rows))
     return RobustRunResult(report, success, width, seed, tuple(rows),

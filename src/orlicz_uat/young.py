@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnboundedConjugateError, ValidationError, _frozen, _known, _parsed
+from .errors import UnboundedConjugateError, ValidationError, _count, _frozen, _known, _parsed
 
 POWER = "power"
 EXP_MINUS_LINEAR = "exp_minus_linear"
@@ -179,8 +179,7 @@ def entropy() -> YoungFunction:
 
 
 def tabulated(grid, values) -> YoungFunction:
-    return YoungFunction(TABULATED, grid=np.asarray(grid, dtype=np.float64),
-                         values=np.asarray(values, dtype=np.float64))
+    return YoungFunction(TABULATED, grid=grid, values=values)
 
 
 def is_structural_n_function(phi: YoungFunction) -> bool | None:
@@ -197,11 +196,13 @@ def _resolve_grid(grid_spec) -> np.ndarray:
         lo, hi, n = _DEFAULT_CONJUGATE_GRID
         return np.geomspace(lo, hi, n)
     if isinstance(grid_spec, tuple) and len(grid_spec) == 3:
-        lo, hi, n = grid_spec
-        if not (0.0 < lo < hi < math.inf) or int(n) < 2:
+        lo, hi, n = _parsed("grid_spec", lambda v: (float(v[0]), float(v[1]), _count(v[2])),
+                            grid_spec)
+        if not (0.0 < lo < hi < math.inf) or n < 2:
             raise ValidationError("grid spec needs 0 < lo < hi < inf and n >= 2")
-        return np.geomspace(float(lo), float(hi), int(n))
-    g = np.unique(np.asarray(grid_spec, dtype=np.float64).ravel())
+        return np.geomspace(lo, hi, n)
+    g = _parsed("grid_spec", lambda v: np.unique(np.asarray(v, dtype=np.float64).ravel()),
+                grid_spec)
     if g.size < 1 or np.any(~np.isfinite(g)) or np.any(g < 0.0):
         raise ValidationError("explicit conjugate grid must be finite and >= 0")
     return g

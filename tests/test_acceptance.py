@@ -14,8 +14,8 @@ from orlicz_uat import (AffineFamily, Box, FunctionTable, LinearOnlyFamily,
                         box_indicator, bump_1d, check_additive_family,
                         check_weight_compatibility, check_young_inequality,
                         clip_and_localize, complementary, curve_csv_rows,
-                        entropy, exp_minus_linear, fit_random_features,
-                        from_table, gauge_norm, holder_check, l1_norm,
+                        dlvp_certificate, entropy, exp_minus_linear,
+                        fit_random_features, from_table, gauge_norm, holder_check, l1_norm,
                         make_discrete, max_gadget, min_gadget, modular, power,
                         quadratic_weight, quadratic_weight_scalar,
                         run_robust_experiment, sin_product, to_register_form,
@@ -239,8 +239,8 @@ def test_08_holder_equality_witness():
     family = MeasureFamily.from_members([mu])
     phi = power(2.0, 0.5)
     f = from_table(family.dominating, [1.0, 1.0])
-    report = verify_robust_bound(family, phi, phi, f, zero_network(1, 1),
-                                 gauge_tol=1e-12)
+    report = verify_robust_bound(family, phi, dlvp_certificate(family, [phi]), f,
+                                 zero_network(1, 1))
     ok = abs(report.sup_l1 - 1.0) <= 1e-10
     ok = ok and abs(report.holder_rhs - 1.0) <= 1e-10
     _finish(8, "holder equality witness", ok, started, 1.0)
@@ -277,7 +277,7 @@ def test_09_fnn_hypothesis_checks():
                            np.full(32, 1.0 / 32)) for _ in range(3)]),
     ]
     for fam in families:
-        phi_M, _, _ = associated_young_pair(fam)
+        phi_M, _ = associated_young_pair(fam)
         mu = fam.dominating
         w = FunctionTable(quadratic_weight(mu.points))
         value = gauge_norm(phi_M, mu, w).value

@@ -581,6 +581,8 @@ _INF_MEAN = dict(_FUZZ_BASE["family"], samplers=[
     ("delta", -1.0, "delta"),
     ("activation", "softmax", "activation"),
     ("activation", 5, "activation"),
+    ("seeds", True, "seeds"),
+    ("widths", [True], "widths"),
 ])
 def test_robust_config_names_the_bad_key(tmp_path, capsys, key, value, named):
     cfg = dict(_FUZZ_CONFIGS["i"], **{key: value})
@@ -638,6 +640,20 @@ def test_robust_refuses_a_compact_box_of_another_dimension(compact_box):
     code, err = _cli(["robust", "--config", "{dir}/cfg.json", "--out-dir", "{dir}/run"],
                      [("cfg.json", cfg)])
     assert (code, err) == (2, "error: compact_box dimension disagrees with the family\n")
+
+
+def test_robust_names_the_member_with_mass_outside_the_compact_box():
+    def member(*points):
+        return {"dim": 1, "points": [[p] for p in points], "weights": [0.5, 0.5]}
+    # only member 1 has a point outside the box; member 2 shares its other point
+    cfg = {"case": "iii", "family": {"kind": "members", "members": [
+               member(0.2, 0.4), member(0.6, 1.5), member(0.6, 0.8)]},
+           "target": {"name": "sin_product", "dim": 1}, "epsilon": 0.5, "widths": [4],
+           "seeds": 1, "compact_box": {"lo": [0.0], "hi": [1.0]}}
+    code, err = _cli(["robust", "--config", "{dir}/cfg.json", "--out-dir", "{dir}/run"],
+                     [("cfg.json", cfg)])
+    assert (code, err) == (3, "hypothesis violated: compact support "
+                              "(member 1 has mass outside the declared box)\n")
 
 
 @pytest.mark.parametrize("case", ["i", "ii", "iii", "iv"])

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from orlicz_uat import (Box, DiscreteMeasure, HypothesisViolation, Layer, MeasureFamily,
                         Network, OrliczError, ValidationError, associated_young_pair,
-                        build_family, constant, entropy, fit_random_features,
-                        from_table, make_discrete, make_target, power, radon_nikodym,
-                        report_json_dict, robust, robust_error,
-                        run_robust_experiment, serialize, verify_robust_bound,
-                        zero_network)
+                        build_family, complementary, constant, dlvp_certificate,
+                        draw_features, entropy, fit_random_features, from_table, make_discrete,
+                        make_target, power, radon_nikodym, report_json_dict, robust,
+                        robust_error, run_robust_experiment, sample_empirical, tabulated,
+                        verify_robust_bound, zero_network)
 from orlicz_uat import fit as fit_module
 from orlicz_uat.cli import dispatch
 
@@ -29,7 +29,8 @@ def singleton_family():
 
 def test_associated_pair_self_conjugate_singleton():
     family = singleton_family()
-    phi_M, psi_M, cert = associated_young_pair(family, [power(2.0, 0.5)])
+    phi_M, cert = associated_young_pair(family, [power(2.0, 0.5)])
+    psi_M = cert.psi
     assert psi_M.kind == "power" and psi_M.p == 2.0 and psi_M.scale == 0.5
     assert phi_M.kind == "power" and phi_M.p == 2.0 and phi_M.scale == 0.5
     assert abs(cert.sup_norm - 1.0 / np.sqrt(2.0)) <= 1e-9
@@ -41,7 +42,7 @@ def test_associated_pair_density_bound():
     pts = [[0.0], [1.0]]
     family = MeasureFamily.from_members([make_discrete(pts, [0.2, 0.8]),
                                          make_discrete(pts, [0.8, 0.2])])
-    _, _, cert = associated_young_pair(family, [power(2.0, 0.5)])
+    _, cert = associated_young_pair(family, [power(2.0, 0.5)])
     assert cert.sup_norm <= np.sqrt(2.0) + 1e-12
 
 
@@ -52,9 +53,32 @@ def test_associated_pair_empty_candidates():
 
 def test_associated_pair_entropy_conjugate():
     family = singleton_family()
-    phi_M, psi_M, _ = associated_young_pair(family, [entropy()])
-    assert psi_M.kind == "entropy"
+    phi_M, cert = associated_young_pair(family, [entropy()])
+    assert cert.psi.kind == "entropy"
     assert phi_M.kind == "exp_minus_linear"
+
+
+_UNIT_BOX = Box([0.0], [1.0])
+_TWO_POINTS = make_discrete([[0.0], [1.0]], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: draw_features(1, 4, -1, np.zeros(1), np.ones(1)), "seed"),
+    (lambda: draw_features(1, 4, 1.5, np.zeros(1), np.ones(1)), "seed"),
+    (lambda: draw_features(1, -1, 0, np.zeros(1), np.ones(1)), "width"),
+    (lambda: draw_features(1, 2, 0, np.zeros(1), np.ones(1), start=3), "start"),
+    (lambda: fit_random_features(constant(1), _TWO_POINTS, 1.5, "sigmoid"), "width"),
+    (lambda: fit_random_features(constant(1), _TWO_POINTS, True, "sigmoid"), "width"),
+    (lambda: sample_empirical("uniform", 1.5, 0, _UNIT_BOX), "n"),
+    (lambda: sample_empirical("uniform", 4, -1, _UNIT_BOX), "seed"),
+    (lambda: tabulated(["a", "b"], [0, 1]), "grid"),
+    (lambda: complementary(power(2.0), "abc", numeric=True), "grid_spec"),
+], ids=["draw-negative-seed", "draw-float-seed", "draw-negative-width", "draw-start-past-width",
+        "fit-float-width", "fit-bool-width", "sample-float-n", "sample-negative-seed",
+        "tabulated-strings", "conjugate-string-grid"])
+def test_public_calls_name_a_bad_argument(call, named):
+    with pytest.raises(ValidationError, match=f"^bad value for {named}: "):
+        call()
 
 
 def test_robust_error_oracles():
@@ -87,19 +111,19 @@ def test_verify_bound_equality_witness():
     family = singleton_family()
     phi = power(2.0, 0.5)
     f = from_table(family.dominating, [1.0, 1.0])
-    report = verify_robust_bound(family, phi, phi, f, zero_network(1, 1),
-                                 epsilon=2.0, gauge_tol=1e-12)
+    report = verify_robust_bound(family, phi, dlvp_certificate(family, [phi]), f,
+                                 zero_network(1, 1))
     assert abs(report.sup_l1 - 1.0) <= 1e-10
     assert abs(report.holder_rhs - 1.0) <= 1e-10
     assert report.bound_holds
-    assert report.epsilon == 2.0
 
 
 def test_verify_bound_zero_residual():
     family = singleton_family()
     phi = power(2.0, 0.5)
     f = from_table(family.dominating, [0.0, 0.0])
-    report = verify_robust_bound(family, phi, phi, f, zero_network(1, 1))
+    report = verify_robust_bound(family, phi, dlvp_certificate(family, [phi]), f,
+                                 zero_network(1, 1))
     assert report.sup_l1 == 0.0
     assert report.holder_rhs == 0.0
     assert report.bound_holds
@@ -114,11 +138,12 @@ def test_verify_bound_cross_checks_each_member_through_its_density():
                                          make_discrete(pts, [0.9, 0.1])])
     phi = power(2.0, 0.5)
     f = from_table(family.dominating, [2.0, -1.0])
-    assert verify_robust_bound(family, phi, phi, f, zero_network(1, 1)).bound_holds
+    cert = dlvp_certificate(family, [phi])
+    assert verify_robust_bound(family, phi, cert, f, zero_network(1, 1)).bound_holds
     first, second = family.densities
     object.__setattr__(family, "densities", (first, second * (1.0 + 1e-9)))
     with pytest.raises(OrliczError, match="change-of-measure"):
-        verify_robust_bound(family, phi, phi, f, zero_network(1, 1))
+        verify_robust_bound(family, phi, cert, f, zero_network(1, 1))
 
 
 def test_verify_bound_random_sweep():
@@ -140,7 +165,7 @@ def test_verify_bound_random_sweep():
         f = from_table(family.dominating,
                        rng.standard_normal(family.dominating.support_size) * 3.0)
         eta = zero_network(1, 1)
-        report = verify_robust_bound(family, phi, phi, f, eta)
+        report = verify_robust_bound(family, phi, dlvp_certificate(family, [phi]), f, eta)
         assert report.bound_holds
         assert report.sup_l1 == max(report.per_measure_l1)
 
@@ -153,8 +178,10 @@ def test_sup_l1_monotone_in_family_growth():
     f_big = MeasureFamily.from_members([nu1, nu2])
     phi = power(2.0, 0.5)
     table = from_table(f_big.dominating, [1.0, 2.0])
-    small = verify_robust_bound(f_small, phi, phi, table, zero_network(1, 1))
-    big = verify_robust_bound(f_big, phi, phi, table, zero_network(1, 1))
+    small = verify_robust_bound(f_small, phi, dlvp_certificate(f_small, [phi]), table,
+                                zero_network(1, 1))
+    big = verify_robust_bound(f_big, phi, dlvp_certificate(f_big, [phi]), table,
+                              zero_network(1, 1))
     assert big.sup_l1 >= small.sup_l1
 
 
@@ -162,9 +189,9 @@ def test_report_json_schema():
     family = singleton_family()
     phi = power(2.0, 0.5)
     f = from_table(family.dominating, [1.0, 1.0])
-    report = verify_robust_bound(family, phi, phi, f, zero_network(1, 1),
-                                 epsilon=0.5)
-    obj = report_json_dict(report, "network.json", "i")
+    report = verify_robust_bound(family, phi, dlvp_certificate(family, [phi]), f,
+                                 zero_network(1, 1))
+    obj = report_json_dict(report, "i")
     assert set(obj) == {"sup_l1", "holder_rhs", "gauge_error",
                         "density_norm_sup", "per_measure_l1", "bound_holds",
                         "network_file", "case"}
@@ -592,19 +619,16 @@ def _certify_like(tmp_path):
 
 def test_verification_takes_the_density_norms_from_the_certificate(tmp_path):
     _, family, f, eta = _certify_like(tmp_path)
-    phi_M, psi_M, cert = associated_young_pair(family, [entropy()])
-    reports = [verify_robust_bound(family, phi_M, psi_M, f, eta, certificate=c)
-               for c in (None, cert)]
-    texts = [serialize.json_text(report_json_dict(r, "network.json", "iii")) for r in reports]
-    assert texts[0] == texts[1]
-    assert reports[1].density_norm_sup == float(np.max(cert.per_member_norms))
-    for bad, kwargs in [
-        (dataclasses.replace(cert, psi=entropy()), {}),
-        (dataclasses.replace(cert, per_member_norms=cert.per_member_norms[:-1]), {}),
-        (cert, {"gauge_tol": 1e-12}),
-    ]:
-        with pytest.raises(ValidationError):
-            verify_robust_bound(family, phi_M, psi_M, f, eta, certificate=bad, **kwargs)
+    phi_M, cert = associated_young_pair(family, [entropy()])
+    report = verify_robust_bound(family, phi_M, cert, f, eta)
+    assert report.density_norm_sup == cert.sup_norm == float(np.max(cert.per_member_norms))
+    short = dataclasses.replace(cert, per_member_norms=cert.per_member_norms[:-1])
+    with pytest.raises(ValidationError, match="member count"):
+        verify_robust_bound(family, phi_M, short, f, eta)
+    # the supremum is derived from the norms, so a changed certificate carries its own
+    doubled = dataclasses.replace(cert, per_member_norms=2.0 * cert.per_member_norms)
+    assert doubled.sup_norm == 2.0 * cert.sup_norm
+    assert verify_robust_bound(family, phi_M, doubled, f, eta).density_norm_sup == doubled.sup_norm
 
 
 def test_a_run_computes_each_density_norm_once(tmp_path, monkeypatch):
