@@ -44,7 +44,7 @@ class TargetFunction:
     bound: float | None = None
 
     def __post_init__(self):
-        if self.dim < 1 or self.out_dim < 1:
+        if _parsed("dim", _count, self.dim) < 1 or _parsed("out_dim", _count, self.out_dim) < 1:
             raise ValidationError("target dimensions must be positive")
         if self.bound is not None and not (self.bound > 0.0 and math.isfinite(self.bound)):
             raise ValidationError("a declared bound must be finite and positive")
@@ -76,6 +76,7 @@ def sin_product(dim: int = 1, frequency: float = 1.0) -> TargetFunction:
 def gaussian_blob(dim: int = 1, center=None, sigma: float = 0.25) -> TargetFunction:
     if not (sigma > 0.0):
         raise ValidationError("blob width must be positive")
+    dim = _parsed("dim", _count, dim)  # before numpy sizes the center with it
     c = np.full(dim, 0.5) if center is None else np.asarray(center, dtype=np.float64)
     if c.shape != (dim,):
         raise ValidationError("blob center dimension mismatch")

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .box import Box
-from .errors import OrliczError, ValidationError, _frozen, _parsed
+from .errors import OrliczError, ValidationError, _count, _frozen, _parsed
 
 _HIDDEN_ACTS = ("relu", "sigmoid", "tanh", "identity")
 _OUTPUT_ACT = "none"
@@ -186,6 +186,7 @@ def _check_agreement(got, want, departure: str):
 
 
 def zero_network(n_in: int, n_out: int) -> Network:
+    n_in, n_out = _parsed("n_in", _count, n_in), _parsed("n_out", _count, n_out)
     return Network((Layer(np.zeros((n_out, n_in)), np.zeros(n_out), _OUTPUT_ACT),))
 
 

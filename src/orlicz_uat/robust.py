@@ -18,21 +18,24 @@ features, with no network evaluated: the fit's readout, clipped to [c, C] in
 case ii.  Only the chosen entry becomes an artifact.  In case ii it is
 rewritten into register form and clipped, which equals the clipped fit on
 the box holding every support point; in case iv its readout bias is folded
-into a hidden unit.  The verification evaluates the written network twice,
-at once on two threads: on the dominating support, where it must also agree
-with its scores, so the curve describes the written network, and on the
-member points.  psi_M and the member density norms are read from the certificate.
+into a hidden unit.  The verification evaluates the written network twice:
+on the dominating support, where it must also agree with its scores, so the
+curve describes the written network, and on the member points.  psi_M and
+the member density norms are read from the certificate.
 
-One thread pool serves the whole schedule, with the standard library's
-default number of workers, ``min(32, os.cpu_count() + 4)``, so every seed of a
-width runs at once unless there are more seeds than that.  Each task grows
-only its own seed's cache, whose sums run in a fixed order, so the results
-and the artifacts do not depend on the worker count.
+A schedule of two seeds or more on ``_POOL_POINTS`` support points or more
+runs its seeds on one thread pool of the standard library's default size,
+``min(32, os.cpu_count() + 4)`` workers, and the verification its member
+pass on a second thread from ``_POOL_POINTS`` stacked member points on;
+otherwise each runs on the calling thread.  Each task grows only its own
+seed's cache, whose sums run in a fixed order, so the results and the
+artifacts do not depend on the worker count.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +56,9 @@ from .young import YoungFunction, complementary
 
 _CASES = ("i", "ii", "iii", "iv")
 _DEFAULT_WIDTHS = (8, 16, 32, 64, 128)
+# below this many points a thread costs more than the numpy work it overlaps (a
+# conservative bound: three seeds first gained from a pool at 10k-40k on 2 cores)
+_POOL_POINTS = 4096
 _DEFAULT_SEEDS = (0, 1, 2)
 _CHANGE_OF_MEASURE_RTOL = 1e-12
 
@@ -92,21 +98,24 @@ def verify_robust_bound(family: MeasureFamily, phi_M: YoungFunction,
     resolved to the same tolerance as those norms.  Also checks, per member,
     that the direct L1 error equals the density-weighted integral against
     the dominating measure.  eta is evaluated once on the dominating support
-    and once, by ``robust_error``, on the member points, the two passes at
-    once on two threads; ``check``, if given, is called with the first
-    pass's values before they are used, and refuses them by raising.
+    and once, by ``robust_error``, on the member points, at once on two
+    threads from ``_POOL_POINTS`` member points on; ``check``, if given, is
+    called with the first pass's values before they are used, and refuses
+    them by raising.
     """
     if len(certificate.per_member_norms) != family.size:
         raise ValidationError("the certificate has a norm count other than the member count")
     mu = family.dominating
-    with ThreadPoolExecutor(1) as pool:  # numpy releases the GIL in BLAS and ufunc loops
-        members = pool.submit(robust_error, family, f, eta)
+    pooled = sum(nu.support_size for nu in family.members) >= _POOL_POINTS
+    # numpy releases the GIL in BLAS and ufunc loops
+    with ThreadPoolExecutor(1) if pooled else nullcontext() as pool:
+        members = pool.submit(robust_error, family, f, eta) if pooled else None
         on_mu = eta.evaluate_batch(mu.points)
         if check is not None:
             check(on_mu)
         resid = FunctionTable(f.evaluate(mu.points) - on_mu)
         gauge_error = gauge_norm(phi_M, mu, resid).value
-        per, sup_l1 = members.result()
+        per, sup_l1 = members.result() if pooled else robust_error(family, f, eta)
     via_density = family.integrals(_point_norms(resid, "euclidean"))
     if np.any(np.abs(via_density - per) > _CHANGE_OF_MEASURE_RTOL * np.maximum(per, 1e-300)):
         raise OrliczError("change-of-measure identity failed for a member")
@@ -298,10 +307,11 @@ def _schedule(f: TargetFunction, mu: DiscreteMeasure, phi: YoungFunction, widths
               activation: str, ridge: float, clip=None):
     """Yield each width with its seeds' (fit, scored values, residual, phi gauge norm).
 
-    The target is evaluated once, each seed grows one ``FeatureCache``, and a
+    The target is evaluated once and each seed grows one ``FeatureCache``.  A
     width's seeds run at once on one pool, which lives as long as the
-    generator.  Width 0 is the zero network; any other fit is scored by its
-    readout on the cached features, clipped to ``clip`` = (c, C) if given.
+    generator, or, below two seeds or ``_POOL_POINTS`` of support, on the
+    calling thread.  Width 0 is the zero network; any other fit is scored by
+    its readout on the cached features, clipped to ``clip`` = (c, C) if given.
     """
     values = f.evaluate(mu.points)
     caches = [FeatureCache(mu, values, activation, seed, ridge, max(widths)) for seed in seeds]
@@ -315,10 +325,11 @@ def _schedule(f: TargetFunction, mu: DiscreteMeasure, phi: YoungFunction, widths
         resid = FunctionTable(values - scored)
         return g, scored, resid, gauge_norm(phi, mu, resid).value
 
-    with ThreadPoolExecutor() as pool:
+    pooled = len(caches) > 1 and mu.support_size >= _POOL_POINTS
+    with ThreadPoolExecutor() if pooled else nullcontext() as pool:
         for width in widths:
-            # results are handed over as the caller takes them, never held as a list
-            yield width, pool.map(run_one, [width] * len(caches), caches)
+            yield width, (pool.map(run_one, [width] * len(caches), caches) if pooled
+                          else [run_one(width, cache) for cache in caches])
 
 
 @dataclass(frozen=True)

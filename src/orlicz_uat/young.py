@@ -269,6 +269,8 @@ def check_young_inequality(phi: YoungFunction, psi: YoungFunction,
                            sample_count: int = 10_000, seed: int = 0,
                            sample_range: float = 10.0) -> YoungInequalityReport:
     """Sampled check of x*y <= phi(x) + psi(y)."""
+    sample_count, seed = (_parsed(key, _count, value) for key, value in
+                          (("sample_count", sample_count), ("seed", seed)))
     if sample_count < 1:
         raise ValidationError("sample_count must be positive")
     rng = np.random.default_rng(seed)

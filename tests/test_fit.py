@@ -361,7 +361,8 @@ def test_a_curves_seeds_run_on_more_than_one_thread(monkeypatch):
         return fit(*args)
 
     monkeypatch.setattr(robust, "fit_random_features", recording)
-    rows = approximation_curve(sin_product(), uniform_support(), power(2.0), (8, 16))
+    # 4,500 points: on fewer than 4,096 the seeds would fit on the calling thread
+    rows = approximation_curve(sin_product(), uniform_support(4500), power(2.0), (8, 16))
     assert len(rows) == 6
     assert len(threads) > 1 and threading.get_ident() not in threads
 

@@ -18,8 +18,12 @@ from orlicz_uat import (Box, DiscreteMeasure, HypothesisViolation, Layer, Measur
                         make_target, power, radon_nikodym, report_json_dict, robust,
                         robust_error, run_robust_experiment, sample_empirical, tabulated,
                         verify_robust_bound, zero_network)
+from orlicz_uat import curve_csv_rows
 from orlicz_uat import fit as fit_module
 from orlicz_uat.cli import dispatch
+from orlicz_uat.fit import gaussian_blob, sin_product, smooth_step
+from orlicz_uat.serialize import csv_text
+from orlicz_uat.young import check_young_inequality
 
 
 def singleton_family():
@@ -73,9 +77,18 @@ _TWO_POINTS = make_discrete([[0.0], [1.0]], [0.5, 0.5])
     (lambda: sample_empirical("uniform", 4, -1, _UNIT_BOX), "seed"),
     (lambda: tabulated(["a", "b"], [0, 1]), "grid"),
     (lambda: complementary(power(2.0), "abc", numeric=True), "grid_spec"),
+    (lambda: sin_product(1.5), "dim"),
+    (lambda: smooth_step(1.5), "dim"),
+    (lambda: constant(1.5), "dim"),
+    (lambda: gaussian_blob(1.5), "dim"),
+    (lambda: zero_network(-1, 1), "n_in"),
+    (lambda: check_young_inequality(power(2.0), power(2.0), 1.5), "sample_count"),
+    (lambda: check_young_inequality(power(2.0), power(2.0), seed=-1), "seed"),
 ], ids=["draw-negative-seed", "draw-float-seed", "draw-negative-width", "draw-start-past-width",
         "fit-float-width", "fit-bool-width", "sample-float-n", "sample-negative-seed",
-        "tabulated-strings", "conjugate-string-grid"])
+        "tabulated-strings", "conjugate-string-grid", "sin-product-float-dim",
+        "smooth-step-float-dim", "constant-float-dim", "blob-float-dim",
+        "zero-network-negative-dim", "young-float-count", "young-negative-seed"])
 def test_public_calls_name_a_bad_argument(call, named):
     with pytest.raises(ValidationError, match=f"^bad value for {named}: "):
         call()
@@ -339,6 +352,61 @@ def test_artifacts_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, over
     # the program asks for the default pool, which OneWorker overrode
     assert sizes == [((), {}), ((1,), {})]  # then one worker for the verification's member pass
     assert len(threads["one"]) == 1 and len(threads["default"]) > 1
+
+
+def _recorded(monkeypatch) -> tuple:
+    """(pools, threads): each pool's arguments, and the threads that fit or verify."""
+    pools, threads = [], set()
+
+    class Recorded(robust.ThreadPoolExecutor):
+        def __init__(self, *args):
+            pools.append(args)
+            super().__init__(*args)
+
+    def on_thread(call):
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return call(*args)
+        return recorded
+
+    monkeypatch.setattr(robust, "ThreadPoolExecutor", Recorded)
+    for name in ("fit_random_features", "robust_error"):
+        monkeypatch.setattr(robust, name, on_thread(getattr(robust, name)))
+    return pools, threads
+
+
+@pytest.mark.parametrize("run", ["sub-block-run", "sub-block-curve", "one-seed-curve"])
+def test_small_schedules_fit_on_the_calling_thread(tmp_path, monkeypatch, run):
+    pools, threads = _recorded(monkeypatch)
+    if run == "sub-block-run":  # 2 x 64 points, so the verification runs inline too
+        rows = run_robust_experiment(base_config(tmp_path, epsilon=1e-9)).rows
+    else:
+        n, seeds = (4095, (0, 1, 2)) if run == "sub-block-curve" else (4500, (0,))
+        mu = sample_empirical("uniform", n, 3, _UNIT_BOX)
+        assert mu.support_size == n
+        rows = robust.approximation_curve(sin_product(), mu, power(2.0), [8, 16], "sigmoid", seeds)
+    assert len(rows) == {"sub-block-run": 4, "sub-block-curve": 6, "one-seed-curve": 2}[run]
+    assert pools == [] and threads == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("overrides", [{}, {"case": "ii", "activation": "relu"}])
+def test_small_supports_write_the_same_bytes_with_the_pool_forced(tmp_path, monkeypatch,
+                                                                  overrides):
+    mu = sample_empirical("uniform", 256, 5, _UNIT_BOX)
+
+    def outputs(tag):
+        run_robust_experiment(base_config(tmp_path / tag, epsilon=1e-9, widths=[4, 8, 16],
+                                          seeds=3, **overrides))
+        rows = robust.approximation_curve(sin_product(), mu, power(2.0), [4, 8, 16], "tanh")
+        return ([(tmp_path / tag / name).read_bytes()
+                 for name in ("report.json", "curve.csv", "network.json")]
+                + [csv_text(*curve_csv_rows(rows))])
+
+    inline = outputs("inline")
+    pools, threads = _recorded(monkeypatch)
+    monkeypatch.setattr(robust, "_POOL_POINTS", 1)  # every schedule and verification pools
+    assert outputs("pooled") == inline
+    assert pools == [(), (1,), ()] and threading.get_ident() not in threads
 
 
 def _reference_points(sampler, n: int, seed: int, box: Box) -> np.ndarray:
