@@ -174,29 +174,27 @@ def _child_states(seed: int, keys: np.ndarray):
         yield (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128, inc
 
 
-def draw_features(dim: int, width: int, seed: int, lo, hi, start: int = 0):
+def draw_features(dim: int, width: int, seed: int, lo, hi):
     """Standard normal weights; each kink anchored uniformly inside [lo, hi].
 
     Feature k is drawn from child k of the seed, ``SeedSequence(seed).spawn(n)[k]``
     for any n > k, so widening the draw extends it without disturbing earlier
-    features.  Returns features start..width-1.  One generator draws each child
-    from its state, which ``_child_states`` hashes as numpy does; the oracle test
-    in ``tests/test_fit.py`` spawns numpy's own.  Keys past 32 bits are refused.
+    features.  One generator draws each child from its state, which
+    ``_child_states`` hashes as numpy does; the oracle test in
+    ``tests/test_fit.py`` spawns numpy's own.  Keys past 32 bits are refused.
     """
-    dim, width, seed, start = (_parsed(key, _count, value) for key, value in
-                               (("dim", dim), ("width", width), ("seed", seed), ("start", start)))
+    dim, width, seed = (_parsed(key, _count, value) for key, value in
+                        (("dim", dim), ("width", width), ("seed", seed)))
     if width > 2**32:
         raise ValidationError(f"width {width} is past the 2**32 features a seed spawns")
-    if start > width:
-        raise ValidationError(f"bad value for start: {start} is past the width {width}")
     # an overflowing side is refused here, a non-finite bias by the fit
     with np.errstate(over="ignore", invalid="ignore"):
         side = hi - lo
         if not np.all(np.isfinite(side)):
             raise ValidationError("the support's bounding box has a side past the double range")
-        W, U = np.empty((width - start, dim)), np.empty((width - start, dim))
+        W, U = np.empty((width, dim)), np.empty((width, dim))
         rng = np.random.default_rng(0)
-        for row, (state, inc) in enumerate(_child_states(seed, np.arange(start, width))):
+        for row, (state, inc) in enumerate(_child_states(seed, np.arange(width))):
             rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                        "state": {"state": state, "inc": inc}}
             rng.standard_normal(out=W[row])
@@ -217,11 +215,17 @@ class FeatureCache:
     fixed ``_ROW_BLOCK``-column blocks added in block order.  ``values`` are
     the target's values on the support, evaluated once by the caller.  All
     ``capacity`` features are drawn on construction: a fit runs numpy calls alone.
+    The activation and the ridge (finite, nonnegative) are checked here, before
+    any schedule width runs.
     """
 
     def __init__(self, mu: DiscreteMeasure, values: np.ndarray, activation: str,
                  seed: int, ridge: float, capacity: int):
-        self.mu, self.activation, self.seed, self.ridge = mu, activation, seed, ridge
+        if activation not in _FIT_ACTS:
+            raise ValidationError(f"bad value for activation: {activation!r:.80}")
+        if not 0.0 <= _parsed("ridge", float, ridge) < math.inf:
+            raise ValidationError(f"bad value for ridge: {ridge!r:.80}")
+        self.mu, self.activation, self.seed, self.ridge = mu, activation, seed, float(ridge)
         self._capacity, self._width = capacity, 0
         # one strided pass per coordinate: no row-by-row loop, and no copy
         self._box = (np.array([x.min() for x in mu.points.T]),
@@ -312,15 +316,11 @@ def fit_random_features(f: TargetFunction, mu: DiscreteMeasure, width: int,
     fit only by rounding.
     ``cache`` is a ``FeatureCache`` of this same problem (mu, activation,
     seed, ridge and the values of f) to grow in place; without one a fresh
-    cache of capacity ``width`` is made.
+    cache of capacity ``width`` is made, which checks the activation and ridge.
     """
     width = _parsed("width", _count, width)
     if width < 1:
         raise ValidationError("width must be at least 1")
-    if activation not in _FIT_ACTS:
-        raise ValidationError(f"activation must be one of {_FIT_ACTS}")
-    if not (0.0 <= ridge < math.inf):
-        raise ValidationError("ridge must be finite and nonnegative")
     if f.dim != mu.dimension:
         raise ValidationError("target and measure dimensions disagree")
     seed = _parsed("seed", _count, seed)
@@ -331,6 +331,3 @@ def fit_random_features(f: TargetFunction, mu: DiscreteMeasure, width: int,
         raise ValidationError("the feature cache belongs to another fit")
     return cache.fit(width)
 
-
-def residual_table(f: TargetFunction, eta, mu: DiscreteMeasure) -> FunctionTable:
-    return FunctionTable(f.evaluate(mu.points) - eta.evaluate_batch(mu.points))

@@ -1,4 +1,4 @@
-"""Finitely supported measures, measure families, and integrability certificates.
+"""Finitely supported measures and measure families.
 
 A DiscreteMeasure is a finite set of support points in R^d with nonnegative
 weights.  A support is one sort of its points plus +0.0 (so 0.0 and -0.0
@@ -8,10 +8,8 @@ MeasureFamily is built from its members alone: one sort of all member points
 gives the dominating measure (the uniform average of the members over the
 union support) and each member's rows of it, and each member's density is kept
 once, on those rows only; radon_nikodym gives the dense form over the whole
-dominating support.  The de la Vallee Poussin style certificate records, for
-one candidate Young function psi, the gauge norms of all member densities, each
-on its member's rows, and their supremum; a finite supremum witnesses uniform
-integrability relative to psi.
+dominating support.  The certificate over a family's densities is
+``robust.dlvp_certificate``.
 """
 from __future__ import annotations
 
@@ -21,7 +19,6 @@ import numpy as np
 
 from .box import Box
 from .errors import AbsoluteContinuityError, ValidationError, _count, _frozen, _known, _parsed
-from .young import YoungFunction, entropy, is_structural_n_function, power
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +65,7 @@ class DiscreteMeasure:
         def floats(v):
             return np.asarray(v, dtype=np.float64)
         pts = _parsed("points", floats, obj["points"])
-        if pts.ndim != 2 or pts.shape[1] != _parsed("dim", int, obj["dim"]):
+        if pts.ndim != 2 or pts.shape[1] != _parsed("dim", _count, obj["dim"]):
             raise ValidationError("measure points do not match the declared dim")
         return make_discrete(pts, _parsed("weights", floats, obj["weights"]))
 
@@ -264,51 +261,7 @@ class MeasureFamily:
     def size(self) -> int:
         return len(self.members)
 
-    def density_norms(self, psi: YoungFunction, tol: float) -> np.ndarray:
-        """Every density's psi gauge norm on its member's rows (psi(0) = 0), in one solve."""
-        from .orlicz import _gauge_solve
-
-        w = [self.dominating.weights[j] for j in self.rows]
-        return _gauge_solve(psi, np.concatenate(self.densities), np.concatenate(w),
-                            [j.size for j in self.rows], tol)[1]
-
     def integrals(self, g) -> np.ndarray:
         """Each member's integral of g, given on mu's support: sum of d * g * mu on its rows."""
         weighted = np.asarray(g, dtype=np.float64) * self.dominating.weights
         return np.array([d @ weighted[j] for d, j in zip(self.densities, self.rows)])
-
-
-@dataclass(frozen=True)
-class DlvpCertificate:
-    psi: YoungFunction
-    per_member_norms: np.ndarray = field(repr=False)
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(self.per_member_norms))
-
-
-def default_psi_candidates() -> list[YoungFunction]:
-    return [power(2.0, 0.5), power(1.5, 1.0 / 1.5), power(3.0, 1.0 / 3.0), entropy()]
-
-
-def dlvp_certificate(family: MeasureFamily, psi_candidates=None) -> DlvpCertificate:
-    """The first candidate psi, with its member density gauge norms and their supremum.
-
-    A gauge norm on a finite support is finite, so the first candidate always
-    certifies (a norm past the double range raises BracketingError).  The norms
-    are resolved to the pipeline's gauge tolerance in one solve, each on its
-    member's rows, and ``verify_robust_bound`` reads them from the certificate.
-
-    Every candidate must be an N-function; cataloged kinds are checked
-    structurally and power with p = 1 is refused.
-    """
-    from .orlicz import _GAUGE_TOL
-
-    candidates = list(psi_candidates) if psi_candidates is not None else default_psi_candidates()
-    if not candidates:
-        raise ValidationError("need at least one candidate psi")
-    for psi in candidates:
-        if is_structural_n_function(psi) is False:
-            raise ValidationError(f"candidate {psi.kind} with p={psi.p} is not an N-function")
-    return DlvpCertificate(candidates[0], family.density_norms(candidates[0], _GAUGE_TOL))

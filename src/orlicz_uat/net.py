@@ -171,7 +171,7 @@ class Network:
             layers.append(Layer(_parsed("A", floats, lay["A"]),
                                 _parsed("b", floats, lay["b"]), lay["act"]))
         net = cls(tuple(layers))
-        if net.input_dim != _parsed("input_dim", int, obj["input_dim"]):
+        if net.input_dim != _parsed("input_dim", _count, obj["input_dim"]):
             raise ValidationError("declared input_dim disagrees with the first layer")
         return net
 
@@ -254,21 +254,6 @@ def box_indicator(J: Box, delta: float) -> Network:
     return Network(tuple(layers))
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
-    input_registers: tuple
-    output_registers: tuple
-    compute_index: int
-    width: int
-
-    @classmethod
-    def for_dims(cls, n_in: int, n_out: int) -> "RegisterLayout":
-        if n_in < 1 or n_out < 1:
-            raise ValidationError("register layout needs n_in >= 1 and n_out >= 1")
-        return cls(tuple(range(n_in)), tuple(range(n_in, n_in + n_out)),
-                   n_in + n_out, n_in + n_out + 1)
-
-
 def _within_double_range(build):
     """ValidationError, not a wrong network, where interval bounds overflow.
 
@@ -293,7 +278,9 @@ def _affine_bounds(row: np.ndarray, const: float, lo: np.ndarray, hi: np.ndarray
 class _RegisterBuilder:
     """Layer-by-layer extension of a fixed-width register network.
 
-    Semantic state: one value per channel of the layout, recovered from the
+    Registers 0..n_in-1 hold the inputs, the next n_out the outputs, and the
+    last one is the compute register, so the width is n_in + n_out + 1.
+    Semantic state: one value per register, recovered from the
     latest unit vector u as  s = M @ u + c.  Hidden units are always relu;
     identity carries add an interval-derived offset N so the pre-activation
     stays positive on the declared box.  A register that a layer neither
@@ -302,9 +289,10 @@ class _RegisterBuilder:
     """
 
     def __init__(self, reg: "RegisterNetwork"):
-        self.layout = reg.layout
+        n_in, n_out = reg.network.input_dim, reg.network.output_dim
+        self.inputs, self.outputs = range(n_in), range(n_in, n_in + n_out)
+        self.comp, self.W = n_in + n_out, n_in + n_out + 1
         self.box = reg.box
-        self.W = reg.layout.width
         self.layers: list[Layer] = list(reg.network.layers[:-1])
         self.M = reg.read_M
         self.c = reg.read_c
@@ -377,10 +365,9 @@ class _RegisterBuilder:
         self._units = None
 
     def finalize(self) -> "RegisterNetwork":
-        slots = list(self.layout.output_registers)
-        proj = Layer(self.M[slots], self.c[slots], _OUTPUT_ACT)
+        proj = Layer(self.M[self.outputs], self.c[self.outputs], _OUTPUT_ACT)
         net = Network(tuple(self.layers) + (proj,))
-        return RegisterNetwork(net, self.layout, self.box, self.M, self.c, self.lo, self.hi)
+        return RegisterNetwork(net, self.box, self.M, self.c, self.lo, self.hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,7 +375,6 @@ class RegisterNetwork:
     """A register-form network plus the bookkeeping needed to extend it."""
 
     network: Network
-    layout: RegisterLayout
     box: Box
     read_M: np.ndarray = field(repr=False)
     read_c: np.ndarray = field(repr=False)
@@ -418,26 +404,28 @@ def to_register_form(shallow: Network, box: Box):
     m = hid.out_dim
     if m == 0:
         return Network((Layer(np.zeros((n_out, n_in)), out.b, _OUTPUT_ACT),))
+    if n_out == 0:
+        raise ValidationError("register rewrite needs at least one output")
     W1, b1, b2 = hid.A, hid.b, out.b
     # column k: the readout weight of the feature in the compute register at layer k
     W2 = np.hstack([np.zeros((n_out, 1)), out.A])
-    L = RegisterLayout.for_dims(n_in, n_out)
-    comp = L.compute_index
-    pad = np.zeros(L.width - n_in)
-    empty = RegisterNetwork(zero_network(n_in, n_out), L, box, np.eye(L.width, n_in),
-                            np.zeros(L.width), np.concatenate([box.lo, pad]),
+    width = n_in + n_out + 1
+    pad = np.zeros(width - n_in)
+    empty = RegisterNetwork(zero_network(n_in, n_out), box, np.eye(width, n_in),
+                            np.zeros(width), np.concatenate([box.lo, pad]),
                             np.concatenate([box.hi, pad]))
     bld = _RegisterBuilder(empty)
+    comp = bld.comp
     for k in range(m + 1):
         # feature k enters the compute register while the accumulators add
         # feature k - 1 and, after the last feature, the readout bias
         bld.begin_layer()
-        for s in L.input_registers:
+        for s in bld.inputs:
             bld.carry(s)
-        for j, s in enumerate(L.output_registers):
+        for j, s in enumerate(bld.outputs):
             bld.carry(s, {s: 1.0, comp: W2[j, k]}, b2[j] if k == m else 0.0)
         if k < m:
-            u = bld.unit({s: W1[k, i] for i, s in enumerate(L.input_registers)}, b1[k])
+            u = bld.unit({s: W1[k, i] for i, s in enumerate(bld.inputs)}, b1[k])
             bld.read(comp, {u: 1.0})
         else:
             bld.read_zero(comp)
@@ -468,11 +456,9 @@ def clip_and_localize(g: RegisterNetwork, J: Box, delta: float,
     if not g.box.covers(K):
         raise ValidationError("the declared box must contain the enlarged clip region")
     bld = _RegisterBuilder(g)
-    L = bld.layout
-    n_in = len(L.input_registers)
-    comp = L.compute_index
+    n_in, comp = len(bld.inputs), bld.comp
     inv = 1.0 / delta
-    for i, s in enumerate(L.input_registers):
+    for i, s in enumerate(bld.inputs):
         a_i, b_i = float(J.lo[i]), float(J.hi[i])
         # rising clamp into the register, shifted coordinate into compute
         bld.begin_layer()
@@ -490,8 +476,8 @@ def clip_and_localize(g: RegisterNetwork, J: Box, delta: float,
         bld.end_layer()
     # running minimum of the stored trapezoids
     for k in range(1, n_in):
-        prev = L.input_registers[0] if k == 1 else comp
-        vslot = L.input_registers[k]
+        prev = bld.inputs[0] if k == 1 else comp
+        vslot = bld.inputs[k]
         bld.begin_layer()
         N = 1.0 + max(0.0, -bld.lo[prev])
         beta = bld.unit({prev: 1.0}, N)
@@ -501,26 +487,26 @@ def clip_and_localize(g: RegisterNetwork, J: Box, delta: float,
         if prev != comp:
             bld.read_zero(prev)
         bld.end_layer()
-    source = comp if n_in > 1 else L.input_registers[0]
+    source = comp if n_in > 1 else bld.inputs[0]
     # clamp the minimum at zero; the result is the box profile V
     bld.begin_layer()
     gamma = bld.unit({source: 1.0})
     bld.read(comp, {gamma: 1.0})
-    for t in L.input_registers:
+    for t in bld.inputs:
         bld.read_zero(t)
     bld.end_layer()
     # G_j = -relu(-relu(g_j - c V) + (C - c) V) + C V
     bld.begin_layer()
-    q_units = [bld.unit({s: 1.0, comp: -c}) for s in L.output_registers]
+    q_units = [bld.unit({s: 1.0, comp: -c}) for s in bld.outputs]
     vu = bld.unit({comp: 1.0})
-    for s, q in zip(L.output_registers, q_units):
+    for s, q in zip(bld.outputs, q_units):
         bld.read(s, {q: 1.0})
     bld.read(comp, {vu: 1.0})
     bld.end_layer()
     bld.begin_layer()
-    r_units = [bld.unit({s: -1.0, comp: C - c}) for s in L.output_registers]
+    r_units = [bld.unit({s: -1.0, comp: C - c}) for s in bld.outputs]
     vu = bld.unit({comp: 1.0})
-    for s, r in zip(L.output_registers, r_units):
+    for s, r in zip(bld.outputs, r_units):
         bld.read(s, {r: -1.0, vu: C})
     bld.read(comp, {vu: 1.0})
     bld.end_layer()

@@ -53,10 +53,6 @@ class FunctionTable:
     def output_dim(self) -> int:
         return self.values.shape[1]
 
-    @classmethod
-    def from_callable(cls, fn, mu: DiscreteMeasure) -> "FunctionTable":
-        return cls(np.asarray(fn(mu.points), dtype=np.float64))
-
     def to_json_dict(self) -> dict:
         return {"values": self.values.tolist()}
 

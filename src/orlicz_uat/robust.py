@@ -1,8 +1,9 @@
 """Worst-case approximation over a finite family of measures.
 
-The pipeline: a de la Vallee Poussin certificate picks psi_M and holds every
-member density's finite psi_M gauge norm against the dominating measure;
-phi_M is complementary to psi_M.  Then it fits candidate networks on a
+The pipeline: a de la Vallee Poussin certificate picks psi_M, holds every
+member density's finite psi_M gauge norm against the dominating measure, and
+derives phi_M, complementary to psi_M, so the Young pair is one object (Rao &
+Ren, Theory of Orlicz Spaces, ch. 3).  Then it fits candidate networks on a
 width/seed schedule, measures the supremum of per-member L1 errors, and
 certifies the chain
 
@@ -20,8 +21,8 @@ rewritten into register form and clipped, which equals the clipped fit on
 the box holding every support point; in case iv its readout bias is folded
 into a hidden unit.  The verification evaluates the written network twice:
 on the dominating support, where it must also agree with its scores, so the
-curve describes the written network, and on the member points.  psi_M and
-the member density norms are read from the certificate.
+curve describes the written network, and on the member points.  The Young pair
+and the member density norms are read from the certificate.
 
 A schedule of two seeds or more on ``_POOL_POINTS`` support points or more
 runs its seeds on one thread pool of the standard library's default size,
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +48,12 @@ from .errors import (HypothesisViolation, OrliczError, ValidationError, _count, 
                      _known, _parsed)
 from .fit import (_DEFAULT_RIDGE, _FIT_ACTS, FeatureCache, TargetFunction,
                   fit_random_features, make_target)
-from .measure import (DiscreteMeasure, DlvpCertificate, MeasureFamily,
-                      dlvp_certificate, sample_empirical)
+from .measure import DiscreteMeasure, MeasureFamily, sample_empirical
 from .net import (Layer, Network, _check_agreement, clip_and_localize,
                   to_register_form, zero_network)
-from .orlicz import _HOLDER_SLACK, FunctionTable, _point_norms, gauge_norm, l1_norm
-from .young import YoungFunction, complementary
+from .orlicz import (_GAUGE_TOL, _HOLDER_SLACK, FunctionTable, _gauge_solve, _point_norms,
+                     gauge_norm, l1_norm)
+from .young import YoungFunction, complementary, entropy, is_structural_n_function, power
 
 _CASES = ("i", "ii", "iii", "iv")
 _DEFAULT_WIDTHS = (8, 16, 32, 64, 128)
@@ -73,10 +74,55 @@ class RobustReport:
     bound_holds: bool
 
 
-def associated_young_pair(family: MeasureFamily, psi_candidates=None):
-    """(phi_M, certificate): the certificate's psi_M and phi_M complementary to it."""
-    cert = dlvp_certificate(family, psi_candidates)
-    return complementary(cert.psi), cert
+@dataclass(frozen=True)
+class DlvpCertificate:
+    """psi_M with every member density's psi_M gauge norm, and phi_M complementary to it.
+
+    ``phi`` is derived from ``psi`` on construction, so the pair is always
+    complementary; ``dataclasses.replace`` derives it again.
+    """
+    psi: YoungFunction
+    per_member_norms: np.ndarray = field(repr=False)
+    phi: YoungFunction = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "phi", complementary(self.psi))
+
+    @property
+    def sup_norm(self) -> float:
+        return float(np.max(self.per_member_norms))
+
+
+def default_psi_candidates() -> list[YoungFunction]:
+    return [power(2.0, 0.5), power(1.5, 1.0 / 1.5), power(3.0, 1.0 / 3.0), entropy()]
+
+
+def _density_norms(family: MeasureFamily, psi: YoungFunction, tol: float) -> np.ndarray:
+    """Every member density's psi gauge norm on its member's rows (psi(0) = 0), in one solve."""
+    w = [family.dominating.weights[j] for j in family.rows]
+    return _gauge_solve(psi, np.concatenate(family.densities), np.concatenate(w),
+                        [j.size for j in family.rows], tol)[1]
+
+
+def dlvp_certificate(family: MeasureFamily, psi_candidates=None) -> DlvpCertificate:
+    """The first candidate psi, with its member density gauge norms and their supremum.
+
+    A gauge norm on a finite support is finite, so the first candidate always
+    certifies (a norm past the double range raises BracketingError).  The norms
+    are resolved to the pipeline's gauge tolerance in one solve, each on its
+    member's rows, and ``verify_robust_bound`` reads them from the certificate.
+
+    Every candidate must be an N-function; cataloged kinds are checked
+    structurally and power with p = 1 is refused.  A psi whose conjugate
+    leaves the double range raises UnboundedConjugateError.
+    """
+    candidates = list(psi_candidates) if psi_candidates is not None else default_psi_candidates()
+    if not candidates:
+        raise ValidationError("need at least one candidate psi")
+    for psi in candidates:
+        if is_structural_n_function(psi) is False:
+            raise ValidationError(f"candidate {psi.kind} with p={psi.p} is not an N-function")
+    return DlvpCertificate(candidates[0], _density_norms(family, candidates[0], _GAUGE_TOL))
 
 
 def robust_error(family: MeasureFamily, f: TargetFunction, eta):
@@ -88,12 +134,12 @@ def robust_error(family: MeasureFamily, f: TargetFunction, eta):
     return per, float(np.max(per))
 
 
-def verify_robust_bound(family: MeasureFamily, phi_M: YoungFunction,
-                        certificate: DlvpCertificate, f: TargetFunction, eta,
-                        check=None) -> RobustReport:
+def verify_robust_bound(family: MeasureFamily, certificate: DlvpCertificate,
+                        f: TargetFunction, eta, check=None) -> RobustReport:
     """Populate a report and hard-assert the generalized Holder chain.
 
-    psi_M is ``certificate.psi``, and the member density norms and their
+    The Young pair is the certificate's: phi_M is ``certificate.phi``, the
+    conjugate of ``certificate.psi``, and the member density norms and their
     supremum are the certificate's; the residual's phi_M gauge norm is
     resolved to the same tolerance as those norms.  Also checks, per member,
     that the direct L1 error equals the density-weighted integral against
@@ -114,7 +160,7 @@ def verify_robust_bound(family: MeasureFamily, phi_M: YoungFunction,
         if check is not None:
             check(on_mu)
         resid = FunctionTable(f.evaluate(mu.points) - on_mu)
-        gauge_error = gauge_norm(phi_M, mu, resid).value
+        gauge_error = gauge_norm(certificate.phi, mu, resid).value
         per, sup_l1 = members.result() if pooled else robust_error(family, f, eta)
     via_density = family.integrals(_point_norms(resid, "euclidean"))
     if np.any(np.abs(via_density - per) > _CHANGE_OF_MEASURE_RTOL * np.maximum(per, 1e-300)):
@@ -394,11 +440,11 @@ def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
     f = make_target(cfg["target"])
     if f.dim != family.dominating.dimension:
         raise ValidationError("target and family dimensions disagree")
-    phi_M, cert = associated_young_pair(family, cfg.get("psi_candidates"))
+    cert = dlvp_certificate(family, cfg.get("psi_candidates"))
     _check_hypotheses(case, cfg, family, f, box)
     epsilon = cfg["epsilon"]
     rows, chosen, best = [], None, None
-    schedule = _schedule(f, family.dominating, phi_M, cfg["widths"], cfg["seeds"],
+    schedule = _schedule(f, family.dominating, cert.phi, cfg["widths"], cfg["seeds"],
                          cfg["activation"], cfg["ridge"],
                          _clip_range(cfg, f) if case == "ii" else None)
     for width, batch in schedule:
@@ -420,7 +466,7 @@ def run_robust_experiment(config: dict, out_dir=None) -> RobustRunResult:
     eta = _written(case, cfg, f, box, g)
     departure = f"the written case-{case} network departs from its scored values"
     report = verify_robust_bound(
-        family, phi_M, cert, f, eta,
+        family, cert, f, eta,
         check=lambda got: _check_agreement(got, scored, departure))
     out.mkdir(parents=True, exist_ok=True)
     paths = {"report": out / "report.json", "curve": out / "curve.csv",

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from orlicz_uat import (AffineFamily, Box, FunctionTable, LinearOnlyFamily,
-                        MeasureFamily, ZeroFamily, associated_young_pair,
+                        MeasureFamily, ZeroFamily,
                         box_indicator, bump_1d, check_additive_family,
                         check_weight_compatibility, check_young_inequality,
                         clip_and_localize, complementary, curve_csv_rows,
@@ -239,7 +239,7 @@ def test_08_holder_equality_witness():
     family = MeasureFamily.from_members([mu])
     phi = power(2.0, 0.5)
     f = from_table(family.dominating, [1.0, 1.0])
-    report = verify_robust_bound(family, phi, dlvp_certificate(family, [phi]), f,
+    report = verify_robust_bound(family, dlvp_certificate(family, [phi]), f,
                                  zero_network(1, 1))
     ok = abs(report.sup_l1 - 1.0) <= 1e-10
     ok = ok and abs(report.holder_rhs - 1.0) <= 1e-10
@@ -277,7 +277,7 @@ def test_09_fnn_hypothesis_checks():
                            np.full(32, 1.0 / 32)) for _ in range(3)]),
     ]
     for fam in families:
-        phi_M, _ = associated_young_pair(fam)
+        phi_M = dlvp_certificate(fam).phi
         mu = fam.dominating
         w = FunctionTable(quadratic_weight(mu.points))
         value = gauge_norm(phi_M, mu, w).value

@@ -546,6 +546,8 @@ def test_fit_names_a_negative_width_or_seed(flag, named):
       "{dir}/B.json"], "input_dim"),
     (["construct", "--what", "register", "--net", "{dir}/bad_layers.json", "--box",
       "{dir}/B.json"], "layers"),
+    (["fit", "--target", "sin_product", "--measure", "{dir}/mu.json", "--phi", "power:2",
+      "--widths", "0", "--ridge=-1"], "ridge"),
 ])
 def test_cli_inputs_name_the_bad_value(argv, named):
     hidden, readout = _NET["layers"]

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from orlicz_uat import (Box, FitSolverError, FunctionTable, ValidationError, curve_csv_rows,
                         fit_random_features, from_table, gauge_norm, l1_norm,
-                        make_discrete, make_target, power, residual_table, robust,
-                        sample_empirical)
-from orlicz_uat.fit import (FeatureCache, constant, draw_features, gaussian_blob,
-                            sin_product, smooth_step)
+                        make_discrete, make_target, power, robust, sample_empirical)
+from orlicz_uat.fit import (FeatureCache, _child_states, constant, draw_features,
+                            gaussian_blob, sin_product, smooth_step)
 from orlicz_uat.robust import approximation_curve
 from orlicz_uat.net import _ROW_BLOCK, _apply_activation
 from orlicz_uat.serialize import csv_text, json_text
@@ -19,7 +18,7 @@ from orlicz_uat.serialize import csv_text, json_text
 
 def l2_residual(f, eta, mu):
     """The mu-weighted L2 norm of f - eta on the support of mu."""
-    r = residual_table(f, eta, mu).values
+    r = f.evaluate(mu.points) - eta.evaluate_batch(mu.points)
     return float(np.sqrt(np.sum(np.sum(r * r, axis=1) * mu.weights)))
 
 
@@ -119,37 +118,35 @@ def test_feature_draw_is_the_spawned_child_stream(seed, dim, width, data):
     # oracle: spawn all width children, then draw feature k from child k,
     # its anchor by Generator.uniform on any box whose sides are doubles;
     # seeds of 5 to 8 words mix their words past the pool of 4 with the key
-    start = data.draw(st.integers(0, width - 1))
     ends = st.lists(st.floats(-1e307, 1e307), min_size=dim, max_size=dim)
     lo, hi = np.sort([data.draw(ends), data.draw(ends)], axis=0)
     children = np.random.SeedSequence(seed).spawn(width)
-    W_want, b_want = np.empty((width - start, dim)), np.empty(width - start)
-    for row, k in enumerate(range(start, width)):
+    W_want, b_want = np.empty((width, dim)), np.empty(width)
+    for k in range(width):
         rng = np.random.default_rng(children[k])
-        W_want[row] = rng.standard_normal(dim)
+        W_want[k] = rng.standard_normal(dim)
         # + 0.0: uniform refuses lo = 0.0 above hi = -0.0, which sort as equals
-        b_want[row] = -float(W_want[row] @ rng.uniform(lo + 0.0, hi + 0.0))
-    W, b = draw_features(dim, width, seed, lo, hi, start=start)
+        b_want[k] = -float(W_want[k] @ rng.uniform(lo + 0.0, hi + 0.0))
+    W, b = draw_features(dim, width, seed, lo, hi)
     assert np.array_equal(W, W_want) and np.array_equal(b, b_want)
 
 
 @pytest.mark.parametrize("words", range(1, 9))
 def test_feature_draw_of_a_seed_of_each_word_count(words):
-    # the last feature a seed spawns, key 2**32 - 1, and the first, from seeds
+    # the first feature key a seed spawns, 0, and the last, 2**32 - 1, from seeds
     # of 1 to 8 words: every seed word past the pool of 4 is mixed in before
     # the key word
-    seed, lo, hi = 2**(32 * words) - 3, np.array([-1.0, 0.0]), np.array([1.0, 4.0])
-    for start in (0, 2**32 - 1):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(start,)))
-        w = rng.standard_normal(2)
-        W, b = draw_features(2, start + 1, seed, lo, hi, start=start)
-        assert np.array_equal(W, [w]) and b.tolist() == [-float(w @ rng.uniform(lo, hi))]
+    seed = 2**(32 * words) - 3
+    for key in (0, 2**32 - 1):
+        want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))).state["state"]
+        got = list(_child_states(seed, np.array([key])))
+        assert got == [(want["state"], want["inc"])]
 
 
 def test_feature_draw_refuses_a_key_past_one_word():
     lo, hi = np.zeros(1), np.ones(1)
     with pytest.raises(ValidationError, match="width 4294967297 "):
-        draw_features(1, 2**32 + 1, 0, lo, hi, start=2**32)
+        draw_features(1, 2**32 + 1, 0, lo, hi)
 
 
 def test_fit_determinism_bitwise():
@@ -324,7 +321,7 @@ def test_curve_gauge_matches_l2_for_square_phi():
     rows = approximation_curve(f, mu, power(2.0), [8], seeds=(0,))
     eta = fit_random_features(f, mu, 8, "relu", seed=0)
     assert abs(rows[0].gauge_error - l2_residual(f, eta, mu)) <= 1e-8
-    resid = residual_table(f, eta, mu)
+    resid = FunctionTable(f.evaluate(mu.points) - eta.evaluate_batch(mu.points))
     assert abs(rows[0].gauge_error - gauge_norm(power(2.0), mu, resid).value) <= 1e-12
 
 

@@ -1,5 +1,10 @@
 """Discrete measures, families, densities, and the integrability certificate."""
+import ast
 import itertools
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,7 @@ from orlicz_uat import (AbsoluteContinuityError, AffineMap, Box, DiscreteMeasure
                         FunctionTable, Layer, MeasureFamily, ValidationError,
                         default_psi_candidates, dlvp_certificate, entropy,
                         exp_minus_linear, gauge_norm, make_discrete, measure, power,
-                        radon_nikodym, sample_empirical, tabulated)
+                        radon_nikodym, robust, sample_empirical, tabulated)
 
 
 def test_box_validation_and_queries():
@@ -451,7 +456,7 @@ def test_density_norms_on_member_rows_equal_the_full_support_norms(members, kind
     # within the pipeline's tolerance, and within 1e-12 when resolved far finer,
     # where only the two summation orders part them
     for tol, rtol in ((1e-10, 1e-10), (1e-15, 1e-12)):
-        batched = family.density_norms(_PSIS[kind], tol)
+        batched = robust._density_norms(family, _PSIS[kind], tol)
         for nu, norm in zip(family.members, batched):
             dense = FunctionTable(radon_nikodym(nu, mu))
             full = gauge_norm(_PSIS[kind], mu, dense, tol=tol).value
@@ -466,7 +471,8 @@ def test_family_takes_a_repeated_member_point_once_with_its_total_mass():
     assert family.densities[0].tolist() == [1.0, 1.0]
     merged = MeasureFamily.from_members([make_discrete(repeated.points, repeated.weights)])
     psi = power(2.0, 0.5)
-    assert family.density_norms(psi, 1e-12).tolist() == merged.density_norms(psi, 1e-12).tolist()
+    assert (robust._density_norms(family, psi, 1e-12).tolist()
+            == robust._density_norms(merged, psi, 1e-12).tolist())
 
 
 def test_family_member_points_without_mass():
@@ -534,3 +540,29 @@ def test_default_psi_candidates_catalog():
     assert kinds[0] == ("power", 2.0)
     assert ("entropy", None) in kinds
     assert len(kinds) == 4
+
+
+def test_no_module_imports_inside_a_function():
+    nested = []
+    for path in sorted(Path(measure.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nested += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []
+
+
+def test_measure_loads_only_box_and_errors():
+    # the package's __init__ imports every module, so a bare package stands in
+    # for it: what loads is what measure itself imports
+    code = f"""
+import importlib, json, sys, types
+pkg = types.ModuleType("orlicz_uat")
+pkg.__path__ = [{str(Path(measure.__file__).parent)!r}]
+sys.modules["orlicz_uat"] = pkg
+importlib.import_module("orlicz_uat.measure")
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("orlicz_uat."))))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert json.loads(out) == ["orlicz_uat.box", "orlicz_uat.errors", "orlicz_uat.measure"]

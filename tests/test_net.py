@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import orlicz_uat
 from orlicz_uat import (AffineFamily, AffineMap, Box, Layer,
-                        LinearOnlyFamily, Network, RegisterLayout,
+                        LinearOnlyFamily, Network,
                         ValidationError, ZeroFamily, bump_1d, box_indicator,
                         check_additive_family, check_weight_compatibility,
                         clip_and_localize, fit_random_features,
@@ -275,14 +275,6 @@ def random_shallow(rng, n_in, n_out, m):
     return Network((Layer(W1, b1, "relu"), Layer(W2, b2, "none")))
 
 
-def test_register_layout_width():
-    layout = RegisterLayout.for_dims(3, 2)
-    assert layout.width == 6
-    idx = sorted(list(layout.input_registers) + list(layout.output_registers)
-                 + [layout.compute_index])
-    assert idx == list(range(6))
-
-
 def test_to_register_form_agrees_with_shallow():
     rng = np.random.default_rng(31)
     box = Box(np.array([-10.0]), np.array([10.0]))
@@ -329,6 +321,13 @@ def test_to_register_form_rejects_deep_nets():
     box = Box(np.array([-1.0]), np.array([1.0]))
     with pytest.raises(ValidationError):
         to_register_form(deep, box)
+
+
+def test_to_register_form_refuses_a_network_with_no_outputs():
+    silent = Network((Layer(np.ones((2, 1)), np.zeros(2), "relu"),
+                      Layer(np.zeros((0, 2)), np.zeros(0), "none")))
+    with pytest.raises(ValidationError, match="at least one output"):
+        to_register_form(silent, Box([0.0], [1.0]))
 
 
 def test_clip_and_localize_oracle_values():

@@ -320,13 +320,6 @@ def test_compact_table_density_sanity():
     assert gauge_norm(power(2.0), mu, diff).value == 0.0
 
 
-def test_from_callable_alignment():
-    mu = make_discrete([[0.0], [0.5], [1.0]], [0.25, 0.5, 0.25])
-    f = FunctionTable.from_callable(lambda X: X[:, 0] ** 2, mu)
-    assert f.values[:, 0].tolist() == [0.0, 0.25, 1.0]
-    assert f.length == 3 and f.output_dim == 1
-
-
 def test_function_table_validation():
     with pytest.raises(ValidationError):
         FunctionTable([])

@@ -1,4 +1,4 @@
-"""Associated Young pair, robust L1 error, bound verification, experiments."""
+"""The certificate's Young pair, robust L1 error, bound verification, experiments."""
 import csv
 import dataclasses
 import json
@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orlicz_uat import (Box, DiscreteMeasure, HypothesisViolation, Layer, MeasureFamily,
-                        Network, OrliczError, ValidationError, associated_young_pair,
-                        build_family, complementary, constant, dlvp_certificate,
-                        draw_features, entropy, fit_random_features, from_table, make_discrete,
-                        make_target, power, radon_nikodym, report_json_dict, robust,
-                        robust_error, run_robust_experiment, sample_empirical, tabulated,
+from orlicz_uat import (Box, DiscreteMeasure, DlvpCertificate, HypothesisViolation, Layer,
+                        MeasureFamily, Network, OrliczError, ValidationError,
+                        approximation_curve, build_family, complementary, constant,
+                        dlvp_certificate, draw_features, entropy, exp_minus_linear,
+                        fit_random_features, from_table, make_discrete, make_target, power,
+                        radon_nikodym, report_json_dict, robust, robust_error,
+                        run_robust_experiment, sample_empirical, tabulated,
                         verify_robust_bound, zero_network)
 from orlicz_uat import curve_csv_rows
 from orlicz_uat import fit as fit_module
@@ -33,8 +34,8 @@ def singleton_family():
 
 def test_associated_pair_self_conjugate_singleton():
     family = singleton_family()
-    phi_M, cert = associated_young_pair(family, [power(2.0, 0.5)])
-    psi_M = cert.psi
+    cert = dlvp_certificate(family, [power(2.0, 0.5)])
+    psi_M, phi_M = cert.psi, cert.phi
     assert psi_M.kind == "power" and psi_M.p == 2.0 and psi_M.scale == 0.5
     assert phi_M.kind == "power" and phi_M.p == 2.0 and phi_M.scale == 0.5
     assert abs(cert.sup_norm - 1.0 / np.sqrt(2.0)) <= 1e-9
@@ -46,20 +47,40 @@ def test_associated_pair_density_bound():
     pts = [[0.0], [1.0]]
     family = MeasureFamily.from_members([make_discrete(pts, [0.2, 0.8]),
                                          make_discrete(pts, [0.8, 0.2])])
-    _, cert = associated_young_pair(family, [power(2.0, 0.5)])
+    cert = dlvp_certificate(family, [power(2.0, 0.5)])
     assert cert.sup_norm <= np.sqrt(2.0) + 1e-12
 
 
 def test_associated_pair_empty_candidates():
     with pytest.raises(ValidationError):
-        associated_young_pair(singleton_family(), [])
+        dlvp_certificate(singleton_family(), [])
 
 
 def test_associated_pair_entropy_conjugate():
-    family = singleton_family()
-    phi_M, cert = associated_young_pair(family, [entropy()])
+    cert = dlvp_certificate(singleton_family(), [entropy()])
     assert cert.psi.kind == "entropy"
-    assert phi_M.kind == "exp_minus_linear"
+    assert cert.phi.kind == "exp_minus_linear"
+
+
+@pytest.mark.parametrize("psi", [power(1.5, 2.0 / 3.0), entropy(), exp_minus_linear(),
+                                 tabulated([0.0, 1.0, 2.0, 4.0], [0.0, 0.5, 2.0, 500.0])],
+                         ids=["power", "entropy", "exp_minus_linear", "tabulated"])
+def test_certificate_phi_is_the_conjugate_of_its_psi(psi):
+    cert = dlvp_certificate(singleton_family(), [psi])
+    assert cert.psi is psi
+    assert cert.phi.to_json_dict() == complementary(psi).to_json_dict()
+
+
+def test_a_replaced_psi_derives_its_phi_again():
+    cert = dlvp_certificate(singleton_family(), [power(2.0, 0.5)])
+    assert cert.phi.kind == "power"
+    swapped = dataclasses.replace(cert, psi=entropy())
+    assert swapped.psi.kind == "entropy" and swapped.phi.kind == "exp_minus_linear"
+    # phi is derived, never given: no pair that is not complementary is accepted
+    with pytest.raises(TypeError):
+        DlvpCertificate(cert.psi, cert.per_member_norms, phi=power(1.01))
+    with pytest.raises(ValueError):
+        dataclasses.replace(cert, phi=power(1.01))
 
 
 _UNIT_BOX = Box([0.0], [1.0])
@@ -70,7 +91,6 @@ _TWO_POINTS = make_discrete([[0.0], [1.0]], [0.5, 0.5])
     (lambda: draw_features(1, 4, -1, np.zeros(1), np.ones(1)), "seed"),
     (lambda: draw_features(1, 4, 1.5, np.zeros(1), np.ones(1)), "seed"),
     (lambda: draw_features(1, -1, 0, np.zeros(1), np.ones(1)), "width"),
-    (lambda: draw_features(1, 2, 0, np.zeros(1), np.ones(1), start=3), "start"),
     (lambda: fit_random_features(constant(1), _TWO_POINTS, 1.5, "sigmoid"), "width"),
     (lambda: fit_random_features(constant(1), _TWO_POINTS, True, "sigmoid"), "width"),
     (lambda: sample_empirical("uniform", 1.5, 0, _UNIT_BOX), "n"),
@@ -84,11 +104,24 @@ _TWO_POINTS = make_discrete([[0.0], [1.0]], [0.5, 0.5])
     (lambda: zero_network(-1, 1), "n_in"),
     (lambda: check_young_inequality(power(2.0), power(2.0), 1.5), "sample_count"),
     (lambda: check_young_inequality(power(2.0), power(2.0), seed=-1), "seed"),
-], ids=["draw-negative-seed", "draw-float-seed", "draw-negative-width", "draw-start-past-width",
+    (lambda: DiscreteMeasure.from_json_dict({"dim": 1.5, "points": [[0.0]], "weights": [1.0]}),
+     "dim"),
+    (lambda: DiscreteMeasure.from_json_dict({"dim": True, "points": [[0.0]], "weights": [1.0]}),
+     "dim"),
+    (lambda: Network.from_json_dict(dict(zero_network(1, 1).to_json_dict(), input_dim=1.9)),
+     "input_dim"),
+    (lambda: approximation_curve(sin_product(), _TWO_POINTS, power(2.0), [0],
+                                 activation="bogus", ridge=-1.0), "activation"),
+    (lambda: approximation_curve(sin_product(), _TWO_POINTS, power(2.0), [0], ridge=-1.0),
+     "ridge"),
+    (lambda: run_robust_experiment(base_config("unwritten", ridge=-1.0, widths=[0])), "ridge"),
+], ids=["draw-negative-seed", "draw-float-seed", "draw-negative-width",
         "fit-float-width", "fit-bool-width", "sample-float-n", "sample-negative-seed",
         "tabulated-strings", "conjugate-string-grid", "sin-product-float-dim",
         "smooth-step-float-dim", "constant-float-dim", "blob-float-dim",
-        "zero-network-negative-dim", "young-float-count", "young-negative-seed"])
+        "zero-network-negative-dim", "young-float-count", "young-negative-seed",
+        "measure-float-dim", "measure-bool-dim", "network-float-input-dim",
+        "curve-bad-activation", "curve-negative-ridge", "config-negative-ridge"])
 def test_public_calls_name_a_bad_argument(call, named):
     with pytest.raises(ValidationError, match=f"^bad value for {named}: "):
         call()
@@ -124,7 +157,7 @@ def test_verify_bound_equality_witness():
     family = singleton_family()
     phi = power(2.0, 0.5)
     f = from_table(family.dominating, [1.0, 1.0])
-    report = verify_robust_bound(family, phi, dlvp_certificate(family, [phi]), f,
+    report = verify_robust_bound(family, dlvp_certificate(family, [phi]), f,
                                  zero_network(1, 1))
     assert abs(report.sup_l1 - 1.0) <= 1e-10
     assert abs(report.holder_rhs - 1.0) <= 1e-10
@@ -135,7 +168,7 @@ def test_verify_bound_zero_residual():
     family = singleton_family()
     phi = power(2.0, 0.5)
     f = from_table(family.dominating, [0.0, 0.0])
-    report = verify_robust_bound(family, phi, dlvp_certificate(family, [phi]), f,
+    report = verify_robust_bound(family, dlvp_certificate(family, [phi]), f,
                                  zero_network(1, 1))
     assert report.sup_l1 == 0.0
     assert report.holder_rhs == 0.0
@@ -152,11 +185,11 @@ def test_verify_bound_cross_checks_each_member_through_its_density():
     phi = power(2.0, 0.5)
     f = from_table(family.dominating, [2.0, -1.0])
     cert = dlvp_certificate(family, [phi])
-    assert verify_robust_bound(family, phi, cert, f, zero_network(1, 1)).bound_holds
+    assert verify_robust_bound(family, cert, f, zero_network(1, 1)).bound_holds
     first, second = family.densities
     object.__setattr__(family, "densities", (first, second * (1.0 + 1e-9)))
     with pytest.raises(OrliczError, match="change-of-measure"):
-        verify_robust_bound(family, phi, cert, f, zero_network(1, 1))
+        verify_robust_bound(family, cert, f, zero_network(1, 1))
 
 
 def test_verify_bound_random_sweep():
@@ -178,7 +211,7 @@ def test_verify_bound_random_sweep():
         f = from_table(family.dominating,
                        rng.standard_normal(family.dominating.support_size) * 3.0)
         eta = zero_network(1, 1)
-        report = verify_robust_bound(family, phi, dlvp_certificate(family, [phi]), f, eta)
+        report = verify_robust_bound(family, dlvp_certificate(family, [phi]), f, eta)
         assert report.bound_holds
         assert report.sup_l1 == max(report.per_measure_l1)
 
@@ -191,9 +224,9 @@ def test_sup_l1_monotone_in_family_growth():
     f_big = MeasureFamily.from_members([nu1, nu2])
     phi = power(2.0, 0.5)
     table = from_table(f_big.dominating, [1.0, 2.0])
-    small = verify_robust_bound(f_small, phi, dlvp_certificate(f_small, [phi]), table,
+    small = verify_robust_bound(f_small, dlvp_certificate(f_small, [phi]), table,
                                 zero_network(1, 1))
-    big = verify_robust_bound(f_big, phi, dlvp_certificate(f_big, [phi]), table,
+    big = verify_robust_bound(f_big, dlvp_certificate(f_big, [phi]), table,
                               zero_network(1, 1))
     assert big.sup_l1 >= small.sup_l1
 
@@ -202,7 +235,7 @@ def test_report_json_schema():
     family = singleton_family()
     phi = power(2.0, 0.5)
     f = from_table(family.dominating, [1.0, 1.0])
-    report = verify_robust_bound(family, phi, dlvp_certificate(family, [phi]), f,
+    report = verify_robust_bound(family, dlvp_certificate(family, [phi]), f,
                                  zero_network(1, 1))
     obj = report_json_dict(report, "i")
     assert set(obj) == {"sup_l1", "holder_rhs", "gauge_error",
@@ -687,16 +720,16 @@ def _certify_like(tmp_path):
 
 def test_verification_takes_the_density_norms_from_the_certificate(tmp_path):
     _, family, f, eta = _certify_like(tmp_path)
-    phi_M, cert = associated_young_pair(family, [entropy()])
-    report = verify_robust_bound(family, phi_M, cert, f, eta)
+    cert = dlvp_certificate(family, [entropy()])
+    report = verify_robust_bound(family, cert, f, eta)
     assert report.density_norm_sup == cert.sup_norm == float(np.max(cert.per_member_norms))
     short = dataclasses.replace(cert, per_member_norms=cert.per_member_norms[:-1])
     with pytest.raises(ValidationError, match="member count"):
-        verify_robust_bound(family, phi_M, short, f, eta)
+        verify_robust_bound(family, short, f, eta)
     # the supremum is derived from the norms, so a changed certificate carries its own
     doubled = dataclasses.replace(cert, per_member_norms=2.0 * cert.per_member_norms)
     assert doubled.sup_norm == 2.0 * cert.sup_norm
-    assert verify_robust_bound(family, phi_M, doubled, f, eta).density_norm_sup == doubled.sup_norm
+    assert verify_robust_bound(family, doubled, f, eta).density_norm_sup == doubled.sup_norm
 
 
 def test_a_run_computes_each_density_norm_once(tmp_path, monkeypatch):
