@@ -48,14 +48,6 @@ class Box:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
-    def grid(self, per_dim: int) -> np.ndarray:
-        """Cartesian product grid with per_dim points per coordinate."""
-        if per_dim < 2:
-            raise ValidationError("grid needs at least two points per dimension")
-        axes = [np.linspace(self.lo[i], self.hi[i], per_dim) for i in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-
     def to_json_dict(self) -> dict:
         return {"lo": self.lo.tolist(), "hi": self.hi.tolist()}
 

@@ -130,8 +130,6 @@ def _cmd_construct(args) -> int:
         if what == "clip":
             if args.inner_box is None:
                 raise ValidationError("clip needs --inner-box")
-            if not isinstance(reg, netmod.RegisterNetwork):
-                raise ValidationError("clip needs a network with a hidden layer")
             J = Box.from_json_dict(_load_json(args.inner_box))
             reg = netmod.clip_and_localize(reg, J, args.delta,
                                            args.clip_low, args.clip_high)
@@ -140,7 +138,7 @@ def _cmd_construct(args) -> int:
             netmod._check_agreement(reg.network.evaluate_batch(X), want,
                                     "the clipped network departs from the clip of --net"
                                     " at the centre and corners of --inner-box")
-        net = reg.network if isinstance(reg, netmod.RegisterNetwork) else reg
+        net = reg.network
     else:
         raise ValidationError(f"unknown construction {what!r}")
     emit(_structural_report(net), "json", args.out)

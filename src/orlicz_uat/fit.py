@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitSolverError, ValidationError, _count, _parsed
-from .measure import DiscreteMeasure, _match_rows
+from .measure import DiscreteMeasure
 from .net import _ROW_BLOCK, _ROW_PAD, Layer, Network, _apply_activation
-from .orlicz import FunctionTable
 
 _FIT_ACTS = ("relu", "sigmoid", "tanh")
 _DEFAULT_RIDGE = 1e-10
@@ -101,16 +100,6 @@ def constant(dim: int = 1, value: float = 1.0) -> TargetFunction:
         return np.full(X.shape[0], float(value))
     bound = abs(float(value)) if value != 0.0 else None
     return TargetFunction("constant", dim, 1, fn, bound=bound)
-
-
-def from_table(mu: DiscreteMeasure, values, bound: float | None = None) -> TargetFunction:
-    """Lookup target defined only on the support of mu."""
-    table = FunctionTable(values)
-    if table.length != mu.support_size:
-        raise ValidationError("table length disagrees with the support size")
-    return TargetFunction("table", mu.dimension, table.output_dim,
-                          lambda X: table.values[_match_rows(mu.points, X, ValidationError)],
-                          bound=bound)
 
 
 _TARGET_BUILDERS = {

@@ -7,8 +7,7 @@ into a box, and one std rule: nonnegative, a zero std drawing its mean.  A
 MeasureFamily is built from its members alone: one sort of all member points
 gives the dominating measure (the uniform average of the members over the
 union support) and each member's rows of it, and each member's density is kept
-once, on those rows only; radon_nikodym gives the dense form over the whole
-dominating support.  The certificate over a family's densities is
+once, on those rows only.  The certificate over a family's densities is
 ``robust.dlvp_certificate``.
 """
 from __future__ import annotations
@@ -192,34 +191,12 @@ def sample_empirical(density_spec, n: int, seed: int, clip_box: Box) -> Discrete
     return _canonical(pts, np.full(n, 1.0 / n))[0]
 
 
-def _match_rows(support, points, missing=AbsoluteContinuityError) -> np.ndarray:
-    """Last support row equal to each row of points; a point with none raises missing."""
-    void = np.dtype((np.void, 8 * support.shape[1]))
-    keys, wanted = (np.ascontiguousarray(a + 0.0).view(void).ravel() for a in (support, points))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    pos = np.maximum(np.searchsorted(keys, wanted, side="right") - 1, 0)
-    off = keys[pos] != wanted
-    if np.any(off):
-        raise missing(f"point {points[np.argmax(off)].tolist()} is off the support")
-    return order[pos]
-
-
-def radon_nikodym(nu: DiscreteMeasure, mu: DiscreteMeasure) -> np.ndarray:
-    """Density d(nu)/d(mu) over all of mu.points, zero off nu: a family density in dense form."""
-    if nu.dimension != mu.dimension:
-        raise ValidationError("measures must share one dimension")
-    rows = _match_rows(mu.points, nu.points)
-    return np.bincount(rows, nu.weights / mu.weights[rows], mu.support_size)
-
-
 @dataclass(frozen=True, eq=False)
 class MeasureFamily:
     """Member measures, and their dominating measure mu, rows and densities, all derived.
 
     ``rows[i]`` are member i's rows of mu, each once and increasing, and
-    ``densities[i]`` is d(nu_i)/d(mu) on those rows only (0 off them);
-    ``radon_nikodym(nu_i, mu)`` gives the dense form over all of mu.
+    ``densities[i]`` is d(nu_i)/d(mu) on those rows only (0 off them).
     """
     members: tuple
     dominating: DiscreteMeasure = field(init=False)

@@ -383,38 +383,39 @@ class RegisterNetwork:
 
 
 @_within_double_range
-def to_register_form(shallow: Network, box: Box):
-    """Rewrite a one-hidden-layer relu network at width n_in + n_out + 1.
+def to_register_form(shallow: Network, box: Box) -> RegisterNetwork:
+    """Rewrite a relu network of at most one hidden layer at width n_in + n_out + 1.
 
-    The rewrite processes one hidden feature per layer, accumulating readout
+    The registers start with the inputs and the outputs' affine part, which
+    is the readout itself for a network without hidden units, and zero
+    otherwise; with no hidden unit that start is the result.  Otherwise the
+    rewrite processes one hidden feature per layer, accumulating readout
     contributions in the output registers, and ends with a projection.  It
-    agrees with the source network on the declared box.  A purely affine
-    network is returned unchanged.
+    agrees with the source network on the declared box.
     """
-    if len(shallow.layers) == 1:
-        return shallow
-    if len(shallow.layers) != 2:
-        raise ValidationError("register rewrite supports exactly one hidden layer")
-    hid, out = shallow.layers
-    if hid.act != "relu":
-        raise ValidationError("register rewrite needs a relu hidden layer")
+    *hidden, out = shallow.layers
     n_in, n_out = shallow.input_dim, shallow.output_dim
+    if len(hidden) > 1:
+        raise ValidationError("register rewrite supports at most one hidden layer")
+    if hidden and hidden[0].act != "relu":
+        raise ValidationError("register rewrite needs a relu hidden layer")
     if box.dim != n_in:
         raise ValidationError("declared box dimension disagrees with the network")
-    m = hid.out_dim
-    if m == 0:
-        return Network((Layer(np.zeros((n_out, n_in)), out.b, _OUTPUT_ACT),))
     if n_out == 0:
         raise ValidationError("register rewrite needs at least one output")
-    W1, b1, b2 = hid.A, hid.b, out.b
+    m = hidden[0].out_dim if hidden else 0
+    A = np.zeros((n_out, n_in)) if hidden else out.A
+    b = out.b if m == 0 else np.zeros(n_out)
+    M = np.vstack([np.eye(n_in), A, np.zeros((1, n_in))])
+    c = np.concatenate([np.zeros(n_in), b, [0.0]])
+    lo, hi = np.array([_affine_bounds(row, cv, box.lo, box.hi) for row, cv in zip(M, c)]).T
+    start = RegisterNetwork(Network((Layer(A, b, _OUTPUT_ACT),)), box, M, c, lo, hi)
+    if m == 0:
+        return start
+    W1, b1, b2 = hidden[0].A, hidden[0].b, out.b
     # column k: the readout weight of the feature in the compute register at layer k
     W2 = np.hstack([np.zeros((n_out, 1)), out.A])
-    width = n_in + n_out + 1
-    pad = np.zeros(width - n_in)
-    empty = RegisterNetwork(zero_network(n_in, n_out), box, np.eye(width, n_in),
-                            np.zeros(width), np.concatenate([box.lo, pad]),
-                            np.concatenate([box.hi, pad]))
-    bld = _RegisterBuilder(empty)
+    bld = _RegisterBuilder(start)
     comp = bld.comp
     for k in range(m + 1):
         # feature k enters the compute register while the accumulators add
@@ -444,8 +445,6 @@ def clip_and_localize(g: RegisterNetwork, J: Box, delta: float,
     single clamp layer, and the two clip layers follow.  Every appended layer
     keeps the register width.
     """
-    if not isinstance(g, RegisterNetwork):
-        raise ValidationError("clip needs a register-form network with bookkeeping")
     if not (delta > 0.0):
         raise ValidationError("clip needs delta > 0")
     if not -math.inf < c < C < math.inf:
@@ -511,177 +510,3 @@ def clip_and_localize(g: RegisterNetwork, J: Box, delta: float,
     bld.read(comp, {vu: 1.0})
     bld.end_layer()
     return bld.finalize()
-
-
-@dataclass(frozen=True, eq=False)
-class AffineMap:
-    a: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.a, dtype=np.float64))
-        if a.ndim != 1 or not np.all(np.isfinite(a)) or not math.isfinite(self.b):
-            raise ValidationError("affine map needs finite coefficients")
-        object.__setattr__(self, "a", _frozen(a, self.a))
-        object.__setattr__(self, "b", float(self.b))
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return pts @ self.a + self.b
-
-
-class AffineFamily:
-    """All maps x -> a.x + b on R^dim."""
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ValidationError("family dimension must be positive")
-        self.dim = dim
-
-    def sample_member(self, rng: np.random.Generator) -> AffineMap:
-        return AffineMap(rng.standard_normal(self.dim), float(rng.standard_normal()))
-
-    def add(self, m1: AffineMap, m2: AffineMap):
-        return AffineMap(m1.a + m2.a, m1.b + m2.b)
-
-    def constant(self, value: float):
-        return AffineMap(np.zeros(self.dim), value)
-
-    def separating_member(self, x1: np.ndarray, x2: np.ndarray):
-        return AffineMap(np.asarray(x1, dtype=np.float64) - np.asarray(x2, dtype=np.float64), 0.0)
-
-
-class LinearOnlyFamily(AffineFamily):
-    """Maps x -> a.x with no constant term; cannot represent constants."""
-
-    def sample_member(self, rng):
-        return AffineMap(rng.standard_normal(self.dim), 0.0)
-
-    def add(self, m1, m2):
-        return AffineMap(m1.a + m2.a, 0.0)
-
-    def constant(self, value):
-        if value == 0.0:
-            return AffineMap(np.zeros(self.dim), 0.0)
-        return None
-
-
-class ZeroFamily(AffineFamily):
-    """The single map x -> 0; cannot separate points."""
-
-    def sample_member(self, rng):
-        return AffineMap(np.zeros(self.dim), 0.0)
-
-    def add(self, m1, m2):
-        return AffineMap(np.zeros(self.dim), 0.0)
-
-    def constant(self, value):
-        if value == 0.0:
-            return AffineMap(np.zeros(self.dim), 0.0)
-        return None
-
-    def separating_member(self, x1, x2):
-        return None
-
-
-@dataclass(frozen=True)
-class AdditiveFamilyReport:
-    closed_under_addition: bool
-    point_separating: bool
-    contains_constants: bool
-
-
-def check_additive_family(family, probe_points, seed: int = 0,
-                          pair_samples: int = 8) -> AdditiveFamilyReport:
-    """Sampled verdicts for the three additive-family axioms."""
-    pts = np.atleast_2d(np.asarray(probe_points, dtype=np.float64))
-    if pts.shape[0] < 2:
-        raise ValidationError("need at least two probe points")
-    rng = np.random.default_rng(seed)
-    closed = True
-    for _ in range(pair_samples):
-        m1 = family.sample_member(rng)
-        m2 = family.sample_member(rng)
-        m12 = family.add(m1, m2)
-        if m12 is None:
-            closed = False
-            break
-        want = m1(pts) + m2(pts)
-        if np.max(np.abs(m12(pts) - want)) > 1e-12 * max(1.0, float(np.max(np.abs(want)))):
-            closed = False
-            break
-    separating = True
-    for i in range(pts.shape[0]):
-        for j in range(i + 1, pts.shape[0]):
-            if np.array_equal(pts[i], pts[j]):
-                continue
-            h = family.separating_member(pts[i], pts[j])
-            scale = 1.0 + float(np.max(np.abs(pts[i])) + np.max(np.abs(pts[j])))
-            if h is None or abs(float(h(pts[i:i + 1])[0] - h(pts[j:j + 1])[0])) <= 1e-9 * scale:
-                separating = False
-                break
-        if not separating:
-            break
-    constants = True
-    for v in (1.0, -2.5, math.pi):
-        h = family.constant(v)
-        if h is None or np.max(np.abs(h(pts) - v)) > 1e-12 * max(1.0, abs(v)):
-            constants = False
-            break
-    return AdditiveFamilyReport(closed, separating, constants)
-
-
-def quadratic_weight(X: np.ndarray) -> np.ndarray:
-    """Admissible weight 1 + ||x||^2 on R^d."""
-    pts = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return 1.0 + np.sum(pts * pts, axis=1)
-
-
-def quadratic_weight_scalar(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    return 1.0 + z * z
-
-
-@dataclass(frozen=True)
-class WeightCompatReport:
-    sup_ratio: float
-    admissible_weight: bool
-    ring_min_w: float
-    inner_min_w: float
-
-
-def check_weight_compatibility(h_members, weight_w, weight_w1,
-                               probe_points) -> WeightCompatReport:
-    """sup over members and probes of w1(h(x)) / w(x), plus a weight check.
-
-    The admissibility proxy asks that the input weight grows outward: hull
-    points of the probe cloud are pushed out to three times their distance
-    from the cloud's center, and the weight's minimum over that ring must
-    exceed its minimum over the probes themselves.  Constant and decaying
-    weights fail; weights with bounded sublevel sets pass on any probe box
-    around which they keep growing.
-    """
-    pts = np.atleast_2d(np.asarray(probe_points, dtype=np.float64))
-    w = np.asarray(weight_w(pts), dtype=np.float64).ravel()
-    if np.any(w <= 0.0) or np.any(~np.isfinite(w)):
-        raise ValidationError("weight must be finite and strictly positive")
-    sup_ratio = 0.0
-    for h in h_members:
-        z = np.asarray(h(pts), dtype=np.float64).ravel()
-        w1 = np.asarray(weight_w1(z), dtype=np.float64).ravel()
-        if np.any(w1 <= 0.0) or np.any(~np.isfinite(w1)):
-            raise ValidationError("hidden weight must be finite and strictly positive")
-        sup_ratio = max(sup_ratio, float(np.max(w1 / w)))
-    col_lo = np.min(pts, axis=0)
-    col_hi = np.max(pts, axis=0)
-    if np.any(col_hi <= col_lo):
-        raise ValidationError("probe points must span a box in every coordinate")
-    center = 0.5 * (col_lo + col_hi)
-    on_hull = np.any((pts == col_lo) | (pts == col_hi), axis=1)
-    ring = center + 3.0 * (pts[on_hull] - center)
-    ring_w = np.asarray(weight_w(ring), dtype=np.float64).ravel()
-    if np.any(ring_w <= 0.0) or np.any(~np.isfinite(ring_w)):
-        raise ValidationError("weight must be finite and strictly positive")
-    inner_min = float(np.min(w))
-    ring_min = float(np.min(ring_w))
-    return WeightCompatReport(sup_ratio, ring_min > inner_min, ring_min, inner_min)

@@ -172,27 +172,3 @@ def _gauge_solve(phi: YoungFunction, norms: np.ndarray, weights: np.ndarray, siz
 def l1_norm(nu: DiscreteMeasure, f: FunctionTable, norm_choice: str = "euclidean") -> float:
     _check_alignment(nu, f)
     return float(np.sum(_point_norms(f, norm_choice) * nu.weights))
-
-
-@dataclass(frozen=True)
-class HolderReport:
-    lhs: float
-    rhs: float
-    holds: bool
-    norm_f: float
-    norm_g: float
-
-
-def holder_check(phi: YoungFunction, psi: YoungFunction, mu: DiscreteMeasure,
-                 f: FunctionTable, g: FunctionTable,
-                 norm_choice: str = "euclidean") -> HolderReport:
-    """Generalized Holder inequality with constant two:
-
-    sum ||f|| * ||g|| dmu <= 2 * gauge_norm(phi, f) * gauge_norm(psi, g).
-    """
-    nf = gauge_norm(phi, mu, f, norm_choice=norm_choice).value  # each checks its alignment
-    ng = gauge_norm(psi, mu, g, norm_choice=norm_choice).value
-    lhs = float(np.sum(_point_norms(f, norm_choice) * _point_norms(g, norm_choice)
-                       * mu.weights))
-    rhs = 2.0 * nf * ng
-    return HolderReport(lhs, rhs, lhs <= rhs * (1.0 + _HOLDER_SLACK), nf, ng)

@@ -74,7 +74,7 @@ class RobustReport:
     bound_holds: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DlvpCertificate:
     """psi_M with every member density's psi_M gauge norm, and phi_M complementary to it.
 

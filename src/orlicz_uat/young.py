@@ -256,28 +256,3 @@ def complementary(phi: YoungFunction, grid_spec=None, *, numeric: bool = False) 
         raise UnboundedConjugateError(
             f"conjugate at y={ygrid[~np.isfinite(vals)][0]:g} overflows the double range")
     return tabulated(ygrid, vals)
-
-
-@dataclass(frozen=True)
-class YoungInequalityReport:
-    max_violation: float
-    witnesses: tuple
-    sample_count: int
-
-
-def check_young_inequality(phi: YoungFunction, psi: YoungFunction,
-                           sample_count: int = 10_000, seed: int = 0,
-                           sample_range: float = 10.0) -> YoungInequalityReport:
-    """Sampled check of x*y <= phi(x) + psi(y)."""
-    sample_count, seed = (_parsed(key, _count, value) for key, value in
-                          (("sample_count", sample_count), ("seed", seed)))
-    if sample_count < 1:
-        raise ValidationError("sample_count must be positive")
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(-sample_range, sample_range, sample_count)
-    ys = rng.uniform(-sample_range, sample_range, sample_count)
-    gap = xs * ys - phi(xs) - psi(ys)
-    worst = np.argsort(gap)[-3:]
-    witnesses = tuple((float(xs[i]), float(ys[i]), float(gap[i]))
-                      for i in worst if gap[i] > 0.0)
-    return YoungInequalityReport(max(0.0, float(np.max(gap))), witnesses, sample_count)

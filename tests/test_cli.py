@@ -448,6 +448,34 @@ def test_construct_clip_refuses_a_network_off_the_clip():
         err.count("\n") == 1, err
 
 
+_AFFINE = {"input_dim": 2, "layers": [{"A": [[2.0, -0.5]], "b": [0.25], "act": "none"}]}
+
+
+def test_construct_register_refuses_a_box_of_another_dimension():
+    code, err = _cli(["construct", "--what", "register", "--net", "{dir}/net.json",
+                      "--box", "{dir}/box.json"],
+                     [("net.json", _AFFINE), ("box.json", {"lo": [-1.0], "hi": [1.0]})])
+    assert code == 2
+    assert err == "error: declared box dimension disagrees with the network\n"
+
+
+def test_construct_clip_of_an_affine_network_is_the_clip_on_the_inner_box():
+    inner = {"lo": [0.0, -0.5], "hi": [1.0, 0.5]}
+    code, out, err = _cli_output(
+        ["construct", "--what", "clip", "--net", "{dir}/net.json", "--box", "{dir}/box.json",
+         "--inner-box", "{dir}/inner.json", "--delta", "0.25", "--clip-low", "-0.5",
+         "--clip-high", "1.5"],
+        [("net.json", _AFFINE), ("box.json", {"lo": [-1.0, -1.0], "hi": [2.0, 1.0]}),
+         ("inner.json", inner)])
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert set(obj["hidden_widths"]) == {4}
+    clipped = orlicz_uat.Network.from_json_dict(obj["network"])
+    X = np.random.default_rng(7).uniform(inner["lo"], inner["hi"], size=(500, 2))
+    want = np.clip(X @ np.array([2.0, -0.5]) + 0.25, -0.5, 1.5)
+    assert np.max(np.abs(clipped.evaluate_batch(X)[:, 0] - want)) <= 1e-9
+
+
 _FIT_MEASURE = {"dim": 1, "points": [[0.0], [0.25], [0.5], [1.0]],
                 "weights": [0.25, 0.25, 0.25, 0.25]}
 

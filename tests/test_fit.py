@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orlicz_uat import (Box, FitSolverError, FunctionTable, ValidationError, curve_csv_rows,
-                        fit_random_features, from_table, gauge_norm, l1_norm,
-                        make_discrete, make_target, power, robust, sample_empirical)
+                        fit_random_features, gauge_norm, l1_norm, make_discrete, make_target,
+                        power, robust, sample_empirical)
 from orlicz_uat.fit import (FeatureCache, _child_states, constant, draw_features,
                             gaussian_blob, sin_product, smooth_step)
 from orlicz_uat.robust import approximation_curve
 from orlicz_uat.net import _ROW_BLOCK, _apply_activation
 from orlicz_uat.serialize import csv_text, json_text
+
+from oracles import from_table
 
 
 def l2_residual(f, eta, mu):

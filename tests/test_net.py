@@ -12,17 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz_uat
-from orlicz_uat import (AffineFamily, AffineMap, Box, Layer,
-                        LinearOnlyFamily, Network,
-                        ValidationError, ZeroFamily, bump_1d, box_indicator,
-                        check_additive_family, check_weight_compatibility,
-                        clip_and_localize, fit_random_features,
-                        identity_gadget, make_discrete, max_gadget,
-                        min_gadget, quadratic_weight,
-                        quadratic_weight_scalar, robust, sin_product,
-                        to_register_form, zero_network)
+from orlicz_uat import (Box, Layer, Network, RegisterNetwork, ValidationError, bump_1d,
+                        box_indicator, clip_and_localize, fit_random_features,
+                        identity_gadget, make_discrete, max_gadget, min_gadget, robust,
+                        sin_product, to_register_form, zero_network)
 from orlicz_uat.fit import FeatureCache
 from orlicz_uat.net import _AGREEMENT_TOL
+
+from oracles import (AffineFamily, LinearOnlyFamily, ZeroFamily, box_grid,
+                     check_additive_family, check_weight_compatibility, quadratic_weight,
+                     quadratic_weight_scalar)
 
 
 def relu_pair_identity():
@@ -305,13 +304,26 @@ def test_to_register_form_multi_dim_sweep():
 
 
 def test_to_register_form_affine_edge():
-    # a pure affine input comes back unchanged
+    # a pure affine input is its own register form: its one layer, bit for bit
     affine = Network((Layer(np.array([[2.0, 0.5]]), np.array([1.0]), "none"),))
     box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     out = to_register_form(affine, box)
-    assert isinstance(out, Network)
-    x = np.array([0.3, -0.4])
-    assert abs(out.evaluate(x)[0] - affine.evaluate(x)[0]) <= 1e-12
+    assert isinstance(out, RegisterNetwork)
+    (layer,) = out.network.layers
+    assert layer.act == "none"
+    assert layer.A.tobytes() == affine.layers[0].A.tobytes()
+    assert layer.b.tobytes() == affine.layers[0].b.tobytes()
+    assert layer.A.shape == affine.layers[0].A.shape
+
+
+@pytest.mark.parametrize("net", [
+    Network((Layer(np.array([[2.0, 0.5]]), np.array([1.0]), "none"),)),
+    Network((Layer(np.zeros((0, 2)), np.zeros(0), "relu"),
+             Layer(np.zeros((1, 0)), np.array([1.0]), "none"))),
+], ids=["affine", "no-hidden-unit"])
+def test_to_register_form_refuses_a_box_of_another_dimension(net):
+    with pytest.raises(ValidationError, match="box dimension"):
+        to_register_form(net, Box([-1.0], [1.0]))
 
 
 def test_to_register_form_rejects_deep_nets():
@@ -437,7 +449,7 @@ def test_case_iv_artifact_folds_the_readout_bias():
 
 
 def test_check_additive_family_affine_passes():
-    probes = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])).grid(4)
+    probes = box_grid(Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 4)
     report = check_additive_family(AffineFamily(2), probes)
     assert report.closed_under_addition
     assert report.point_separating
@@ -445,13 +457,13 @@ def test_check_additive_family_affine_passes():
 
 
 def test_check_additive_family_zero_fails_separation():
-    probes = Box(np.array([-1.0]), np.array([1.0])).grid(5)
+    probes = box_grid(Box(np.array([-1.0]), np.array([1.0])), 5)
     report = check_additive_family(ZeroFamily(1), probes)
     assert not report.point_separating
 
 
 def test_check_additive_family_linear_fails_constants():
-    probes = Box(np.array([-1.0]), np.array([1.0])).grid(5)
+    probes = box_grid(Box(np.array([-1.0]), np.array([1.0])), 5)
     report = check_additive_family(LinearOnlyFamily(1), probes)
     assert report.closed_under_addition
     assert not report.contains_constants
@@ -461,7 +473,7 @@ def test_weight_compatibility_quadratic_pair():
     rng = np.random.default_rng(61)
     family = AffineFamily(2)
     members = [family.sample_member(rng) for _ in range(8)]
-    probes = Box(np.array([-10.0, -10.0]), np.array([10.0, 10.0])).grid(9)
+    probes = box_grid(Box(np.array([-10.0, -10.0]), np.array([10.0, 10.0])), 9)
     report = check_weight_compatibility(members, quadratic_weight,
                                         quadratic_weight_scalar, probes)
     assert np.isfinite(report.sup_ratio)
@@ -494,14 +506,3 @@ def test_weight_compatibility_decaying_weight_fails():
 
     report = check_weight_compatibility(members, decaying, np.ones_like, probes)
     assert not report.admissible_weight
-
-
-def test_weight_compatibility_rejects_nonpositive_weight():
-    members = [AffineMap(np.ones(1), 0.0)]
-    probes = np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
-
-    def signed(X):
-        return X[:, 0]
-
-    with pytest.raises(ValidationError):
-        check_weight_compatibility(members, signed, np.ones_like, probes)

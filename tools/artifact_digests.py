@@ -5,7 +5,9 @@ its default seed) through ``run_robust_experiment`` on one BLAS thread, and
 prints one ``workload family sha256`` line per family, the digest taken
 over ``gate.ARTIFACTS`` exactly as the benchmark's gate takes it.  Then it
 prints one ``fit name sha256`` line per ``FIT_CURVES`` entry, the digest of
-the CSV that the ``fit`` command writes.  Desk's and certify's runs and the
+the CSV that the ``fit`` command writes, and one ``construct name sha256``
+line per ``CONSTRUCTIONS`` entry, the digest of the JSON that the
+``construct`` command writes.  Desk's and certify's runs and the
 first two curves fit on the calling thread, and mid's and narrow's runs and
 the last curve on the thread pool, so one comparison covers both.  Two
 checkouts write byte-identical artifacts exactly when their outputs do not
@@ -51,6 +53,31 @@ FIT_CURVES = (
     ("4500-points", 4500, ["--widths", "8,16,32", "--seeds", "0,1,2"]),
 )
 
+# (name, construct options) of every construction: the gadgets, the box
+# indicator, and register and clip of a relu net and register of an affine
+# one; an option naming one of _FILES is that file in the temporary directory
+_RELU_NET = {"input_dim": 2,
+             "layers": [{"A": [[1.0, -0.5], [-0.25, 2.0], [0.5, 0.5]], "b": [0.1, -0.3, 0.0],
+                         "act": "relu"},
+                        {"A": [[1.5, -1.0, 0.75], [0.0, 0.5, -2.0]], "b": [0.2, -0.1],
+                         "act": "none"}]}
+_AFFINE_NET = {"input_dim": 2, "layers": [{"A": [[2.0, -0.5]], "b": [0.25], "act": "none"}]}
+_FILES = {"relu.json": _RELU_NET, "affine.json": _AFFINE_NET,
+          "box.json": {"lo": [-1.0, -1.0], "hi": [2.0, 1.5]},
+          "inner.json": {"lo": [0.0, -0.5], "hi": [1.0, 0.5]}}
+CONSTRUCTIONS = (
+    ("identity", ["--what", "identity", "--offset", "10"]),
+    ("max", ["--what", "max"]),
+    ("min", ["--what", "min"]),
+    ("bump", ["--what", "bump", "--a", "0", "--b", "1", "--delta", "0.5"]),
+    ("box", ["--what", "box", "--box", "inner.json", "--delta", "0.25"]),
+    ("register-relu", ["--what", "register", "--net", "relu.json", "--box", "box.json"]),
+    ("clip-relu", ["--what", "clip", "--net", "relu.json", "--box", "box.json",
+                   "--inner-box", "inner.json", "--delta", "0.25", "--clip-low", "-1",
+                   "--clip-high", "1.5"]),
+    ("register-affine", ["--what", "register", "--net", "affine.json", "--box", "box.json"]),
+)
+
 
 def fit_digest(tmp: str, name: str, n: int, options: list) -> str:
     measure, out = Path(tmp, f"fit-{name}.json"), Path(tmp, f"fit-{name}.csv")
@@ -60,6 +87,14 @@ def fit_digest(tmp: str, name: str, n: int, options: list) -> str:
                  "--phi", "power:2", "--activation", "sigmoid", *options,
                  "--out", str(out)]) != 0:
         raise RuntimeError(f"the fit curve {name} failed")
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def construct_digest(tmp: str, name: str, options: list) -> str:
+    out = Path(tmp, f"construct-{name}.json")
+    argv = [str(Path(tmp, a)) if a in _FILES else a for a in options]
+    if dispatch(["construct", *argv, "--out", str(out)]) != 0:
+        raise RuntimeError(f"the construction {name} failed")
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -75,6 +110,10 @@ def main() -> int:
                 print(f"{name} {fseed} {digest.hexdigest()}", flush=True)
         for name, n, options in FIT_CURVES:
             print(f"fit {name} {fit_digest(tmp, name, n, options)}", flush=True)
+        for file, obj in _FILES.items():
+            Path(tmp, file).write_text(json.dumps(obj))
+        for name, options in CONSTRUCTIONS:
+            print(f"construct {name} {construct_digest(tmp, name, options)}", flush=True)
     return 0
 
 
